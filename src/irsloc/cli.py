@@ -129,7 +129,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    report = uniqueness_experiment(n_scenes=args.scenes, seed=args.seed or 1)
+    seed = 1 if args.seed is None else args.seed
+    report = uniqueness_experiment(n_scenes=args.scenes, seed=seed)
     out = _out_dir(args)
     (out / "uniqueness.json").write_text(json.dumps(report, indent=2) + "\n")
     print(

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .scene import (
+    DEFAULT_CELL_M,
     Point2D,
     Scene,
     SceneSamplingError,
@@ -43,6 +44,8 @@ from .ranging import (
     RangeSets,
     RangingConfig,
     build_range_sets,
+    detect_support,
+    irs_echo_bins,
     lasso_solve,
     weighted_lasso_solve,
 )
@@ -143,8 +146,6 @@ class ExperimentConfig:
                 "rho2": self.ranging.rho2,
                 "delta1": self.ranging.delta1,
                 "delta2": self.ranging.delta2,
-                "max_iters": self.ranging.max_iters,
-                "conv_tol": self.ranging.conv_tol,
             }
         else:
             d["ranging"] = None
@@ -160,7 +161,13 @@ class ExperimentConfig:
         if d.get("gn"):
             kwargs["gn"] = GnConfig(**d["gn"])
         if d.get("ranging"):
-            kwargs["ranging"] = RangingConfig(**d["ranging"])
+            # iteration limits of the retired iterative solver are ignored
+            ranging = {
+                key: v
+                for key, v in d["ranging"].items()
+                if key not in ("max_iters", "conv_tol")
+            }
+            kwargs["ranging"] = RangingConfig(**ranging)
         else:
             kwargs.pop("ranging", None)
         return cls(**kwargs)
@@ -275,26 +282,18 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
         plan,
         seed=noise2,
     )
+    known = irs_echo_bins(scene, cfg.ofdm)
     first = []
     second = []
     for m in (0, 1):
         est1 = lasso_solve(snap1.by_bs[m], cfg.ofdm, rcfg)
-        phi3 = {
-            int(l) for l in np.nonzero(est1.magnitudes >= rcfg.delta1)[0]
-        }
-        known = _known_bins_for_bs(scene, cfg.ofdm, m)
-        est2 = weighted_lasso_solve(snap2.by_bs[m], known, phi3, cfg.ofdm, rcfg)
+        phi3 = detect_support(est1, rcfg.delta1)
+        est2 = weighted_lasso_solve(snap2.by_bs[m], known[m], phi3, cfg.ofdm, rcfg)
         first.append(est1)
         second.append(est2)
     return build_range_sets(
         (first[0], first[1]), (second[0], second[1]), scene, cfg.ofdm, rcfg
     )
-
-
-def _known_bins_for_bs(scene: Scene, ofdm: OfdmConfig, m: int) -> frozenset[int]:
-    from .ranging import irs_echo_bins
-
-    return irs_echo_bins(scene, ofdm)[m]
 
 
 def run_trial(
@@ -743,7 +742,7 @@ def uniqueness_experiment(
     for i, s in enumerate(seeds):
         k, r = combos[i % len(combos)]
         irs = DEFAULT_IRS_LAYOUTS[r]
-        scene = sample_targets(bs, irs, k, radius, s, cell_m=DEFAULT_CELL_FOR_SAMPLING)
+        scene = sample_targets(bs, irs, k, radius, s, cell_m=DEFAULT_CELL_M)
         sets = RangeSets.from_geometry(scene, cell_m=None)
         feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=False)
         truth = ground_truth_solution(scene, sets, cell_m=None)
@@ -773,9 +772,6 @@ def uniqueness_experiment(
         "worst_position_error_m": worst,
         "failures": failures,
     }
-
-
-DEFAULT_CELL_FOR_SAMPLING = 0.75
 
 
 # ---------------------------------------------------------------------------

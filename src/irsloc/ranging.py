@@ -9,14 +9,17 @@ explained by the first symbol or by anchor geometry get a weaker l1 penalty
 in the second solve, and whatever survives outside those known bins is read
 as a compound echo.
 
-The tap estimate under the l1 objective
+The tap estimate minimizes the l1 objective
 
-    0.5 * ||y - A h||^2 + sum_l beta_l |h_l|
+    0.5 * ||y - A h||^2 + sum_l beta_l |h_l|,   A = sqrt(p) * diag(s) * G,
 
-is computed by proximal gradient iteration (complex soft thresholding) with
-a backtracking step size.  On the interleaved comb A'A is a scaled identity,
-so the iteration converges essentially in one step; the backtracking handles
-anything less friendly.
+with ``G`` the delay steering matrix of the BS's comb.  On an interleaved
+comb (N/2 bins at stride 2) with unit-modulus pilots and ``L <= N/2`` taps,
+``A'A = p * N/2 * I`` exactly, so this is the orthonormal-design lasso and
+its minimizer is one complex soft threshold of the matched-filter output
+``A'y / (p * N/2)`` at ``beta / (p * N/2)`` (Tibshirani 1996; Donoho and
+Johnstone 1994).  ``A'y`` is one length-N inverse FFT of the
+pilot-compensated samples scattered onto the comb.
 """
 
 import csv
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .scene import Scene, distance
-from .waveform import BsSnapshot, OfdmConfig, steering_matrix
+from .waveform import BsSnapshot, OfdmConfig
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,6 @@ class RangingConfig:
     rho2: float
     delta1: float
     delta2: float
-    max_iters: int = 5000
-    conv_tol: float = 1e-8
 
     def __post_init__(self):
         if self.rho < 0 or self.rho1 < 0 or self.rho2 < 0:
@@ -55,8 +56,6 @@ class RangingConfig:
             raise ValueError("rho1 must not exceed rho2")
         if self.delta1 <= 0 or self.delta2 <= 0:
             raise ValueError("detection thresholds must be positive")
-        if self.max_iters < 1 or self.conv_tol <= 0:
-            raise ValueError("bad iteration limits")
 
     @classmethod
     def calibrated(
@@ -122,63 +121,38 @@ def soft_threshold(z, t):
     return out
 
 
-def _prox_gradient(y, a, beta, step0, max_iters, tol):
-    """Iterative soft thresholding with backtracking on the smooth part."""
-    ah = a.conj().T
-    h = np.zeros(a.shape[1], dtype=complex)
-    resid = y.copy()
-    smooth = 0.5 * float(np.vdot(resid, resid).real)
-    objective = smooth
-    # objective changes below double precision of the starting value are noise
-    floor = max(objective, 1e-300) * 1e-15
-    step = step0
-    rel = math.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        grad = -(ah @ resid)
-        while True:
-            candidate = soft_threshold(h - step * grad, step * beta)
-            delta = candidate - h
-            resid_new = y - a @ candidate
-            smooth_new = 0.5 * float(np.vdot(resid_new, resid_new).real)
-            bound = (
-                smooth
-                + float(np.vdot(grad, delta).real)
-                + float(np.vdot(delta, delta).real) / (2.0 * step)
-            )
-            if smooth_new <= bound + 1e-12 * max(1.0, abs(bound)):
-                break
-            step *= 0.5
-            if step < 1e-30:
-                break
-        h = candidate
-        resid = resid_new
-        smooth = smooth_new
-        obj_new = smooth + float(np.sum(beta * np.abs(h)))
-        gap = abs(objective - obj_new)
-        rel = gap / max(objective, 1e-300)
-        objective = obj_new
-        if gap <= tol * max(objective, floor):
-            return h, True, it, objective, rel
-    return h, False, it, objective, rel
+def _solve(snap: BsSnapshot, cfg: OfdmConfig, beta: np.ndarray) -> ChannelEstimate:
+    """Closed-form weighted lasso on an interleaved comb.
 
-
-def _solve(snap: BsSnapshot, cfg: OfdmConfig, beta: np.ndarray, rcfg: RangingConfig):
-    g = steering_matrix(snap.subcarriers, cfg.n_subcarriers, cfg.n_taps)
-    a = math.sqrt(snap.tx_power_w) * snap.pilots[:, None] * g
-    step0 = 1.0 / (snap.tx_power_w * len(snap.subcarriers))
-    h, converged, iters, obj, rel = _prox_gradient(
-        snap.rx, a, beta, step0, rcfg.max_iters, rcfg.conv_tol
-    )
+    Raises ValueError unless the comb is N/2 bins at stride 2 and the pilots
+    are unit-modulus: only then is ``A'A`` the scaled identity the closed
+    form relies on.
+    """
+    n = cfg.n_subcarriers
+    comb = tuple(snap.subcarriers)
+    if not comb or comb[0] not in (1, 2) or comb != tuple(range(comb[0], comb[0] + n, 2)):
+        raise ValueError("closed-form recovery needs an interleaved comb of N/2 bins")
+    s = np.asarray(snap.pilots, dtype=complex)
+    if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
+        raise ValueError("closed-form recovery needs unit-modulus pilots")
+    p = snap.tx_power_w
+    on_comb = slice(comb[0] - 1, None, 2)
+    z = np.zeros(n, dtype=complex)
+    z[on_comb] = s.conj() * snap.rx
+    ahy = math.sqrt(p) * n * np.fft.ifft(z)[: cfg.n_taps]
+    c = p * (n // 2)
+    h = soft_threshold(ahy / c, beta / c)
+    resid = snap.rx - math.sqrt(p) * s * np.fft.fft(h, n)[on_comb]
+    objective = 0.5 * float(np.vdot(resid, resid).real) + float(np.sum(beta * np.abs(h)))
     return ChannelEstimate(
-        h=h, converged=converged, n_iters=iters, objective=obj, rel_change=rel
+        h=h, converged=True, n_iters=1, objective=objective, rel_change=0.0
     )
 
 
 def lasso_solve(snap: BsSnapshot, cfg: OfdmConfig, rcfg: RangingConfig) -> ChannelEstimate:
     """First-symbol tap recovery with a uniform l1 penalty."""
     beta = np.full(cfg.n_taps, rcfg.rho)
-    return _solve(snap, cfg, beta, rcfg)
+    return _solve(snap, cfg, beta)
 
 
 def weighted_lasso_solve(
@@ -200,7 +174,7 @@ def weighted_lasso_solve(
     for l in set(irs_bins) | set(target_bins):
         if 0 <= l < cfg.n_taps:
             beta[l] = rcfg.rho1
-    return _solve(snap, cfg, beta, rcfg)
+    return _solve(snap, cfg, beta)
 
 
 def detect_support(est: ChannelEstimate, delta: float) -> set[int]:

@@ -90,6 +90,13 @@ class TestConfig:
         loaded = ExperimentConfig.load(path)
         assert loaded.ranging == rcfg
 
+    def test_from_dict_ignores_retired_solver_limits(self):
+        rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
+        d = default_config(1, ranging=rcfg).to_dict()
+        assert "max_iters" not in d["ranging"]
+        d["ranging"].update(max_iters=5000, conv_tol=1e-8)
+        assert ExperimentConfig.from_dict(d).ranging == rcfg
+
     def test_weights_follow_cell(self):
         cfg = default_config()
         assert cfg.weights.sigma_direct == pytest.approx(0.75 / (2 * math.sqrt(3)))
@@ -338,3 +345,16 @@ class TestCli:
         assert (tmp_path / "uniqueness.json").exists()
         report = json.loads((tmp_path / "uniqueness.json").read_text())
         assert report["localized"] == 9
+
+    def test_uniqueness_command_honours_seed_zero(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake(n_scenes, seed):
+            seen.append(seed)
+            return {"scenes": n_scenes, "localized": n_scenes, "worst_position_error_m": 0.0}
+
+        monkeypatch.setattr("irsloc.cli.uniqueness_experiment", fake)
+        argv = ["uniqueness-check", "--scenes", "2", "--out", str(tmp_path)]
+        assert main(argv + ["--seed", "0"]) == 0
+        assert main(argv) == 0
+        assert seen == [0, 1]

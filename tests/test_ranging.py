@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irsloc.ranging import (
     ChannelEstimate,
@@ -19,6 +21,7 @@ from irsloc.ranging import (
 )
 from irsloc.scene import Point2D, Scene, distance
 from irsloc.waveform import (
+    BsSnapshot,
     OfdmConfig,
     build_paths,
     channel_vector,
@@ -86,6 +89,51 @@ class TestRangingConfig:
         assert rcfg.rho == 0.0
 
 
+def _prox_gradient(y, a, beta, step0, max_iters, tol):
+    """ISTA with backtracking on the dense design: the reference solver.
+
+    Makes no assumption on ``a``; the closed form in ``irsloc.ranging`` must
+    agree with it wherever the comb makes ``a'a`` a scaled identity.
+    """
+    ah = a.conj().T
+    h = np.zeros(a.shape[1], dtype=complex)
+    resid = y.copy()
+    smooth = 0.5 * float(np.vdot(resid, resid).real)
+    objective = smooth
+    # objective changes below double precision of the starting value are noise
+    floor = max(objective, 1e-300) * 1e-15
+    step = step0
+    rel = math.inf
+    it = 0
+    for it in range(1, max_iters + 1):
+        grad = -(ah @ resid)
+        while True:
+            candidate = soft_threshold(h - step * grad, step * beta)
+            delta = candidate - h
+            resid_new = y - a @ candidate
+            smooth_new = 0.5 * float(np.vdot(resid_new, resid_new).real)
+            bound = (
+                smooth
+                + float(np.vdot(grad, delta).real)
+                + float(np.vdot(delta, delta).real) / (2.0 * step)
+            )
+            if smooth_new <= bound + 1e-12 * max(1.0, abs(bound)):
+                break
+            step *= 0.5
+            if step < 1e-30:
+                break
+        h = candidate
+        resid = resid_new
+        smooth = smooth_new
+        obj_new = smooth + float(np.sum(beta * np.abs(h)))
+        gap = abs(objective - obj_new)
+        rel = gap / max(objective, 1e-300)
+        objective = obj_new
+        if gap <= tol * max(objective, floor):
+            return h, True, it, objective, rel
+    return h, False, it, objective, rel
+
+
 def _lasso_problem(seed, n_sc=64, n_taps=16, noise=0.0):
     rng = np.random.default_rng(seed)
     comb = tuple(range(1, 2 * n_sc, 2))
@@ -108,8 +156,6 @@ class TestLassoOptimality:
     def test_subgradient_conditions(self):
         # at an l1-penalized least-squares optimum the gradient of the smooth
         # part must sit inside the subdifferential of rho * ||h||_1
-        from irsloc.ranging import _prox_gradient
-
         for seed in range(5):
             y, a, h_true = _lasso_problem(seed, noise=0.05)
             rho = 0.5
@@ -129,12 +175,126 @@ class TestLassoOptimality:
             assert np.all(np.abs(grad[~on]) <= rho + 5e-4)
 
     def test_noiseless_exact_recovery(self):
-        from irsloc.ranging import _prox_gradient
-
         y, a, h_true = _lasso_problem(3, noise=0.0)
         step0 = 1.0 / np.linalg.norm(a, 2) ** 2
         h, _, _, _, _ = _prox_gradient(y, a, np.zeros(a.shape[1]), step0, 20000, 1e-13)
         np.testing.assert_allclose(h, h_true, atol=1e-6)
+
+
+def _snapshot(n, first, n_taps, seed, n_active, noise, power=2.0):
+    """Random sparse channel seen through one stride-2 comb with QPSK pilots."""
+    rng = np.random.default_rng(seed)
+    comb = tuple(range(first, first + n, 2))
+    s = np.exp(0.5j * math.pi * rng.integers(0, 4, size=len(comb)))
+    h = np.zeros(n_taps, dtype=complex)
+    h[rng.choice(n_taps, n_active, replace=False)] = rng.standard_normal(
+        n_active
+    ) + 1j * rng.standard_normal(n_active)
+    g = steering_matrix(comb, n, n_taps)
+    y = math.sqrt(power) * s * (g @ h)
+    y = y + noise * (rng.standard_normal(len(comb)) + 1j * rng.standard_normal(len(comb)))
+    cfg = OfdmConfig(n_subcarriers=n, cp_len=n_taps, n_taps=n_taps)
+    snap = BsSnapshot(
+        bs=0, symbol=1, subcarriers=comb, rx=y, pilots=s, tx_power_w=power, noise_var=0.0
+    )
+    return snap, cfg
+
+
+def _oracle(snap, cfg, beta):
+    """Reference estimate and the scale of the unthresholded taps."""
+    g = steering_matrix(snap.subcarriers, cfg.n_subcarriers, cfg.n_taps)
+    a = math.sqrt(snap.tx_power_w) * snap.pilots[:, None] * g
+    c = snap.tx_power_w * len(snap.subcarriers)
+    h, converged, _, _, _ = _prox_gradient(snap.rx, a, beta, 1.0 / c, 20000, 1e-12)
+    assert converged
+    return h, float(np.max(np.abs(a.conj().T @ snap.rx))) / c
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2n=st.integers(3, 7),
+        first=st.sampled_from((1, 2)),
+        taps_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        n_active=st.integers(0, 4),
+        noise=st.floats(0.0, 0.5),
+        rho_frac=st.floats(0.0, 0.8),
+        rho1_frac=st.floats(0.0, 1.0),
+        weighted=st.booleans(),
+        delta_frac=st.floats(0.05, 0.95),
+    )
+    def test_matches_ista_oracle(
+        self, log2n, first, taps_frac, seed, n_active, noise, rho_frac, rho1_frac,
+        weighted, delta_frac,
+    ):
+        n = 2**log2n
+        n_taps = max(1, round(taps_frac * (n // 2)))
+        snap, cfg = _snapshot(n, first, n_taps, seed, min(n_active, n_taps), noise)
+        matched = np.abs(
+            steering_matrix(snap.subcarriers, n, n_taps).conj().T
+            @ (snap.pilots.conj() * snap.rx)
+        )
+        rho = rho_frac * math.sqrt(snap.tx_power_w) * float(np.max(matched))
+        rcfg = RangingConfig(
+            rho=rho, rho1=rho1_frac * rho, rho2=rho, delta1=1.0, delta2=1.0
+        )
+        if weighted:
+            rng = np.random.default_rng(seed + 1)
+            irs_bins = set(rng.integers(0, n_taps + 4, size=2).tolist())
+            target_bins = set(rng.integers(0, n_taps + 4, size=3).tolist())
+            est = weighted_lasso_solve(snap, irs_bins, target_bins, cfg, rcfg)
+            beta = np.full(n_taps, rcfg.rho2)
+            for l in irs_bins | target_bins:
+                if l < n_taps:
+                    beta[l] = rcfg.rho1
+        else:
+            est = lasso_solve(snap, cfg, rcfg)
+            beta = np.full(n_taps, rcfg.rho)
+        ref, scale = _oracle(snap, cfg, beta)
+        assert np.max(np.abs(est.h - ref)) <= 1e-9 * scale
+        assert est.n_iters == 1
+        if np.any(ref != 0):
+            delta = delta_frac * float(np.max(np.abs(ref)))
+            assume(np.all(np.abs(np.abs(ref) - delta) > 1e-6 * delta))
+            assert detect_support(est, delta) == {
+                int(l) for l in np.nonzero(np.abs(ref) >= delta)[0]
+            }
+
+    def test_objective_evaluated_at_estimate(self):
+        snap, cfg = _snapshot(64, 2, 16, seed=5, n_active=3, noise=0.05)
+        rcfg = RangingConfig(rho=0.3, rho1=0.03, rho2=0.3, delta1=1.0, delta2=1.0)
+        est = lasso_solve(snap, cfg, rcfg)
+        g = steering_matrix(snap.subcarriers, 64, 16)
+        a = math.sqrt(snap.tx_power_w) * snap.pilots[:, None] * g
+        resid = snap.rx - a @ est.h
+        expected = 0.5 * np.vdot(resid, resid).real + 0.3 * np.sum(np.abs(est.h))
+        assert est.objective == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_non_unit_modulus_pilots(self):
+        snap, cfg = _snapshot(32, 1, 8, seed=2, n_active=2, noise=0.0)
+        snap.pilots = 1.5 * snap.pilots
+        rcfg = RangingConfig(rho=0.1, rho1=0.01, rho2=0.1, delta1=1.0, delta2=1.0)
+        with pytest.raises(ValueError, match="unit-modulus"):
+            lasso_solve(snap, cfg, rcfg)
+        with pytest.raises(ValueError, match="unit-modulus"):
+            weighted_lasso_solve(snap, {1}, {2}, cfg, rcfg)
+
+    @pytest.mark.parametrize(
+        "subcarriers",
+        [
+            tuple(range(1, 17)),  # contiguous half band
+            tuple(range(3, 35, 2)),  # stride 2 but shifted past the band
+            tuple(range(1, 31, 2)),  # one bin short of N/2
+            (),
+        ],
+    )
+    def test_rejects_non_comb_subcarriers(self, subcarriers):
+        snap, cfg = _snapshot(32, 1, 8, seed=2, n_active=2, noise=0.0)
+        snap.subcarriers = subcarriers
+        rcfg = RangingConfig(rho=0.1, rho1=0.01, rho2=0.1, delta1=1.0, delta2=1.0)
+        with pytest.raises(ValueError, match="interleaved comb"):
+            lasso_solve(snap, cfg, rcfg)
 
 
 class TestDetection:
