@@ -14,7 +14,7 @@ from .scene import Point2D, Scene, TopologyReport, check_topology, distance, sam
 from .waveform import OfdmConfig, SubcarrierPlan, build_paths, make_plan, simulate_freq_rx
 from .ranging import RangeSets, RangingConfig, delay_to_range, lasso_solve
 from .association import AssociationTuple, count_unfiltered_solutions, enumerate_feasible
-from .locate import GnConfig, ResidualWeights, gauss_newton_solve, solve_multi_irs, solve_single_irs
+from .locate import GnConfig, ResidualWeights, gauss_newton_solve, localize
 from .harness import ExperimentConfig, default_config, error_probability, run_trial
 
 __version__ = "0.1.0"
@@ -41,8 +41,7 @@ __all__ = [
     "GnConfig",
     "ResidualWeights",
     "gauss_newton_solve",
-    "solve_multi_irs",
-    "solve_single_irs",
+    "localize",
     "ExperimentConfig",
     "default_config",
     "error_probability",

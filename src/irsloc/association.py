@@ -29,8 +29,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .scene import Point2D, Scene, distance, nearest_irs
-from .ranging import RangeSets
+from .scene import Point2D, Scene, distance
+from .ranging import RangeSets, quantize_range
 
 
 @dataclass(frozen=True, order=True)
@@ -282,12 +282,6 @@ def ground_truth_solution(
     entries.  Returns None when some true range is missing from a list,
     which means detection failed upstream.
     """
-
-    def q(value: float) -> float:
-        if cell_m is None:
-            return value
-        return (math.floor(value / cell_m) + 0.5) * cell_m
-
     k = scene.n_targets
     if not sets.balanced(k):
         return None
@@ -310,8 +304,8 @@ def ground_truth_solution(
         for m in (0, 1):
             d_bt = distance(scene.bs[m], t)
             d_total = d_bt + distance(scene.irs[g], t) + distance(scene.bs[m], scene.irs[g])
-            picks[("direct", m)] = claim("direct", m, q(2.0 * d_bt))
-            picks[("via", m)] = claim("via", m, q(d_total))
+            picks[("direct", m)] = claim("direct", m, quantize_range(2.0 * d_bt, cell_m))
+            picks[("via", m)] = claim("via", m, quantize_range(d_total, cell_m))
         if any(v is None for v in picks.values()):
             return None
         if picks[("direct", 0)] != rank:

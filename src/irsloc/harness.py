@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from .ranging import (
     detect_support,
     irs_echo_bins,
     lasso_solve,
+    quantize_range,
     weighted_lasso_solve,
 )
 from .association import (
@@ -63,8 +64,8 @@ from .locate import (
     SolveStats,
     fit_position,
     gauss_newton_solve,
+    localize,
     select_association,
-    solve_multi_irs,
 )
 from .association import AssociationTuple, circle_intersections
 
@@ -111,44 +112,9 @@ class ExperimentConfig:
         return RangingConfig.calibrated(self.ofdm, scene, self.target_radius_m)
 
     def to_dict(self) -> dict:
-        d = {
-            "bs": [list(p) for p in self.bs],
-            "irs": [list(p) for p in self.irs],
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "target_radius_m": self.target_radius_m,
-            "tau_m": self.tau_m,
-            "error_radius_m": self.error_radius_m,
-            "skip_phase1": self.skip_phase1,
-            "ofdm": {
-                "n_subcarriers": self.ofdm.n_subcarriers,
-                "subcarrier_spacing_hz": self.ofdm.subcarrier_spacing_hz,
-                "cp_len": self.ofdm.cp_len,
-                "n_taps": self.ofdm.n_taps,
-                "tx_power_dbm": self.ofdm.tx_power_dbm,
-                "noise_psd_dbm_hz": self.ofdm.noise_psd_dbm_hz,
-                "bs_reflect_gain": self.ofdm.bs_reflect_gain,
-                "irs_reflect_gain": self.ofdm.irs_reflect_gain,
-                "c0": self.ofdm.c0,
-            },
-            "gn": {
-                "max_iters": self.gn.max_iters,
-                "step_tol_m": self.gn.step_tol_m,
-                "residual_threshold": self.gn.residual_threshold,
-                "damping": self.gn.damping,
-            },
-        }
-        if self.ranging is not None:
-            d["ranging"] = {
-                "rho": self.ranging.rho,
-                "rho1": self.ranging.rho1,
-                "rho2": self.ranging.rho2,
-                "delta1": self.ranging.delta1,
-                "delta2": self.ranging.delta2,
-            }
-        else:
-            d["ranging"] = None
+        d = asdict(self)
+        d["bs"] = [list(p) for p in self.bs]
+        d["irs"] = [list(p) for p in self.irs]
         return d
 
     @classmethod
@@ -352,12 +318,11 @@ def run_trial(
                 n_solutions=1,
                 n_survivors=1,
                 solver_calls=len(truth),
-                n_pruned_tuples=0,
                 fallback=False,
             ),
         )
     else:
-        result = solve_multi_irs(sets, scene, cfg.tau_m, cfg.weights, cfg.gn)
+        result = localize(sets, scene, cfg.tau_m, cfg.weights, cfg.gn)
 
     truths = _true_positions_by_rank(scene)
     if result.solution is None:
@@ -421,12 +386,23 @@ def run_localization(cfg: ExperimentConfig, oracle: bool = False) -> list[TrialO
 # cardinality experiment
 
 
+def _mean_and_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error; both NaN for no values."""
+    if not values:
+        return math.nan, math.nan
+    arr = np.asarray(values, dtype=float)
+    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return float(arr.mean()), se
+
+
 def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
     """Feasible-set size statistics per target count.
 
     For each K: mean size of the consistency-filtered set, plus the second
     reduction stage, which is residual pruning for a single IRS and the
-    closest-IRS filter for several.
+    closest-IRS filter for several.  Scenes whose targets cannot be placed
+    are skipped and counted in ``sampling_failures``; the means are over the
+    placed scenes, NaN when there are none.
     """
     rows = []
     r = len(cfg.irs)
@@ -435,11 +411,16 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
         feas = []
         reduced = []
+        sampling_failures = 0
         for s in seeds:
-            scene = sample_targets(
-                kcfg.bs, kcfg.irs, kcfg.k, kcfg.target_radius_m, s.spawn(1)[0],
-                cell_m=kcfg.ofdm.cell_m,
-            )
+            try:
+                scene = sample_targets(
+                    kcfg.bs, kcfg.irs, kcfg.k, kcfg.target_radius_m, s.spawn(1)[0],
+                    cell_m=kcfg.ofdm.cell_m,
+                )
+            except SceneSamplingError:
+                sampling_failures += 1
+                continue
             sets = RangeSets.from_geometry(scene, cell_m=kcfg.ofdm.cell_m)
             plain = enumerate_feasible(sets, scene, kcfg.tau_m, use_closest_irs=False)
             feas.append(len(plain.solutions))
@@ -451,22 +432,19 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
                     sets, scene, kcfg.tau_m, use_closest_irs=True
                 )
                 reduced.append(len(filtered.solutions))
-        feas_arr = np.asarray(feas, dtype=float)
-        red_arr = np.asarray(reduced, dtype=float)
+        mean_feasible, se_feasible = _mean_and_se(feas)
+        mean_reduced, se_reduced = _mean_and_se(reduced)
         rows.append(
             {
                 "k": int(k),
                 "n_irs": r,
                 "trials": cfg.trials,
+                "sampling_failures": sampling_failures,
                 "unfiltered": count_unfiltered_solutions(int(k), r),
-                "mean_feasible": float(feas_arr.mean()),
-                "se_feasible": float(feas_arr.std(ddof=1) / math.sqrt(len(feas_arr)))
-                if len(feas_arr) > 1
-                else 0.0,
-                "mean_reduced": float(red_arr.mean()),
-                "se_reduced": float(red_arr.std(ddof=1) / math.sqrt(len(red_arr)))
-                if len(red_arr) > 1
-                else 0.0,
+                "mean_feasible": mean_feasible,
+                "se_feasible": se_feasible,
+                "mean_reduced": mean_reduced,
+                "se_reduced": se_reduced,
                 "reduced_kind": "residual_pruned" if r == 1 else "closest_irs",
             }
         )
@@ -492,7 +470,7 @@ def _baseline_truth(scene3, anchors, ranges, cell_m):
     used = [set(), set(), set()]
 
     def claim(a: int, value: float) -> int | None:
-        q = (math.floor(value / cell_m) + 0.5) * cell_m
+        q = quantize_range(value, cell_m)
         for idx, v in enumerate(ranges[a]):
             if idx not in used[a] and abs(v - q) <= 1e-9:
                 used[a].add(idx)
@@ -547,13 +525,10 @@ def run_baseline_trial(
         return _failed_outcome(trial, k, None, n_unfiltered, time.perf_counter() - start)
 
     cell = cfg.ofdm.cell_m
-    ranges = []
-    for a in anchors:
-        vals = sorted(
-            (math.floor(2.0 * distance(a, t) / cell) + 0.5) * cell
-            for t in scene3.targets
-        )
-        ranges.append(tuple(vals))
+    ranges = [
+        tuple(sorted(quantize_range(2.0 * distance(a, t), cell) for t in scene3.targets))
+        for a in anchors
+    ]
     truth = _baseline_truth(scene3, anchors, ranges, cell)
     if truth is None:
         return _failed_outcome(trial, k, scene3, n_unfiltered, time.perf_counter() - start)

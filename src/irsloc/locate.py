@@ -7,8 +7,8 @@ IRS.  The position estimate minimizes the squared residuals of those
 constraints, weighted by the standard deviation of the range quantization
 error; a damped Gauss-Newton iteration solves the 2-D problem.
 
-Solution selection evaluates every enumerated solution, reusing per-tuple
-solves through a cache.  Any tuple whose fit residual exceeds a threshold is
+Solution selection evaluates every enumerated solution, fitting each
+distinct tuple once.  Any tuple whose fit residual exceeds a threshold is
 marked bad and every solution containing it is discarded without further
 solves; the surviving solution with the smallest total residual wins, ties
 broken lexicographically.  If pruning eliminates everything the selection
@@ -208,25 +208,6 @@ def gauss_newton_solve(
     return fit_position(triples, cfg, start)
 
 
-class TupleCache:
-    """Memoized tuple solves shared across solutions of one selection run.
-
-    Also tracks tuples whose residual failed the pruning threshold so
-    dependent solutions are discarded without touching the solver again.
-    """
-
-    def __init__(self, solver):
-        self._solver = solver
-        self._store: dict[AssociationTuple, LocEstimate] = {}
-        self.solver_calls = 0
-
-    def get(self, t: AssociationTuple) -> LocEstimate:
-        if t not in self._store:
-            self._store[t] = self._solver(t)
-            self.solver_calls += 1
-        return self._store[t]
-
-
 @dataclass(frozen=True)
 class SolveStats:
     """Selection-run accounting."""
@@ -234,7 +215,6 @@ class SolveStats:
     n_solutions: int
     n_survivors: int
     solver_calls: int
-    n_pruned_tuples: int
     fallback: bool
 
 
@@ -253,35 +233,22 @@ def select_association(
     scene: Scene,
     w: ResidualWeights,
     cfg: GnConfig,
-    memoize: bool = True,
 ) -> LocalizationResult:
     """Pick the minimum-total-residual solution with threshold pruning.
 
-    Solutions are scanned in lexicographic order.  A tuple whose residual
-    reaches ``cfg.residual_threshold`` is marked bad once and removes every
-    solution containing it.  Survivors compete on total residual; the first
-    minimum wins, making ties deterministic.  When nothing survives, the
-    scan repeats without the threshold so a nonempty feasible set always
-    yields an answer.  ``memoize=False`` re-solves tuples on every use and
-    exists for verifying cache transparency.
+    Solutions are scanned in lexicographic order.  Each distinct tuple is
+    fit once.  A tuple whose residual reaches ``cfg.residual_threshold`` is
+    marked bad once and removes every solution containing it.  Survivors
+    compete on total residual; the first minimum wins, making ties
+    deterministic.  When nothing survives, the scan repeats without the
+    threshold so a nonempty feasible set always yields an answer.
     """
-
-    def solver(t: AssociationTuple) -> LocEstimate:
-        return gauss_newton_solve(sets, t, scene, w, cfg)
-
-    cache = TupleCache(solver)
-    calls_without_memo = 0
+    fits: dict[AssociationTuple, LocEstimate] = {}
 
     def solve(t: AssociationTuple) -> LocEstimate:
-        nonlocal calls_without_memo
-        if memoize:
-            return cache.get(t)
-        calls_without_memo += 1
-        est = cache.get(t) if t in cache._store else None
-        if est is None:
-            est = solver(t)
-            cache._store[t] = est
-        return est
+        if t not in fits:
+            fits[t] = gauss_newton_solve(sets, t, scene, w, cfg)
+        return fits[t]
 
     ordered = sorted(feasible.solutions)
     bad: set[AssociationTuple] = set()
@@ -315,12 +282,10 @@ def select_association(
             if total < best_total:
                 best_total = total
                 best = sol
-    calls = calls_without_memo if not memoize else cache.solver_calls
     stats = SolveStats(
         n_solutions=len(ordered),
         n_survivors=survivors,
-        solver_calls=calls,
-        n_pruned_tuples=len(bad),
+        solver_calls=len(fits),
         fallback=fallback,
     )
     if best is None:
@@ -329,34 +294,18 @@ def select_association(
     return LocalizationResult(solution=best, estimates=estimates, stats=stats)
 
 
-def solve_single_irs(
+def localize(
     sets: RangeSets,
     scene: Scene,
     tau: float,
     w: ResidualWeights,
     cfg: GnConfig,
 ) -> LocalizationResult:
-    """Consistency filter then pruned selection; scene must have one IRS."""
-    if scene.n_irs != 1:
-        raise ValueError("solve_single_irs requires exactly one IRS")
-    feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=False)
-    return select_association(feasible, sets, scene, w, cfg)
+    """Consistency filter, then pruned selection: the localization entry point.
 
-
-def solve_multi_irs(
-    sets: RangeSets,
-    scene: Scene,
-    tau: float,
-    w: ResidualWeights,
-    cfg: GnConfig,
-) -> LocalizationResult:
-    """Multi-IRS pipeline with the closest-IRS filter ahead of selection.
-
-    With a single IRS the filter can only discard hypotheses the selection
-    needs, so the single-IRS path is used verbatim in that case and both
-    entry points return identical results.
+    With several IRSs the closest-IRS filter also runs ahead of selection.
+    With a single IRS that filter could only discard hypotheses the
+    selection needs, so it is skipped.
     """
-    if scene.n_irs == 1:
-        return solve_single_irs(sets, scene, tau, w, cfg)
-    feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=True)
+    feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=scene.n_irs > 1)
     return select_association(feasible, sets, scene, w, cfg)

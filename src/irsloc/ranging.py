@@ -189,6 +189,17 @@ def delay_to_range(l: int, cfg: OfdmConfig) -> float:
     return (l + 0.5) * cfg.cell_m
 
 
+def quantize_range(value: float, cell_m: float | None) -> float:
+    """Center of the delay cell holding path length ``value``.
+
+    Floor-quantizes to the ``cell_m`` grid, as detection on the waveform
+    path reports a range; ``cell_m=None`` leaves ``value`` exact.
+    """
+    if cell_m is None:
+        return value
+    return (math.floor(value / cell_m) + 0.5) * cell_m
+
+
 def irs_echo_bins(scene: Scene, cfg: OfdmConfig) -> tuple[frozenset[int], frozenset[int]]:
     """Known delay bins of the static BS-IRS-BS reflections, per BS."""
     out = []
@@ -245,12 +256,6 @@ class RangeSets:
         would produce under perfect detection.  Duplicate quantized values
         are kept as separate entries so each list still has K entries.
         """
-
-        def q(value: float) -> float:
-            if cell_m is None:
-                return value
-            return (math.floor(value / cell_m) + 0.5) * cell_m
-
         direct = []
         via = []
         for bs_pos in scene.bs:
@@ -259,10 +264,9 @@ class RangeSets:
             for k, t in enumerate(scene.targets):
                 d_bt = distance(bs_pos, t)
                 g = scene.true_irs[k]
-                d3.append(q(2.0 * d_bt))
-                d4.append(
-                    q(d_bt + distance(scene.irs[g], t) + distance(bs_pos, scene.irs[g]))
-                )
+                d3.append(quantize_range(2.0 * d_bt, cell_m))
+                total = d_bt + distance(scene.irs[g], t) + distance(bs_pos, scene.irs[g])
+                d4.append(quantize_range(total, cell_m))
             direct.append(tuple(sorted(d3)))
             via.append(tuple(sorted(d4)))
         return cls(direct=(direct[0], direct[1]), via_irs=(via[0], via[1]))

@@ -1,0 +1,50 @@
+"""The benchmark in ``perfbench/`` runs against the package's public names.
+
+Its workload and check modules are loaded by file path, unchanged, and two
+trials of each gated workload go through the untraced run, the traced
+rebuild and every per-trial output check.  A package change that renames or
+removes a name the benchmark uses, or changes an outcome the traced rebuild
+reproduces, fails here rather than in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def load_by_path(name: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved = {name: sys.modules.get(name) for name in ("workloads", "checks")}
+    modules = load_by_path("workloads"), load_by_path("checks")
+    yield modules
+    for name, module in saved.items():
+        if module is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = module
+
+
+@pytest.mark.parametrize("name", ("geo-k4-r1", "wave-k4-r3", "card-k6-r3"))
+def test_gated_workload_runs_and_passes_trial_checks(bench, name):
+    workloads, checks = bench
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config()
+    untraced = [
+        workload.run(cfg, i, seq) for i, seq in enumerate(workload.trial_seeds(1, 2))
+    ]
+    tracer = workloads.Tracer()
+    for i, seq in enumerate(workload.trial_seeds(1, 2)):
+        traced, parts = workload.run_traced(cfg, i, seq, tracer)
+        assert checks.trial_errors(workload, cfg, untraced[i], traced, parts) == []

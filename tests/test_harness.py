@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from irsloc import harness
 from irsloc.association import count_unfiltered_solutions
 from irsloc.cli import main
 from irsloc.harness import (
@@ -27,7 +30,13 @@ from irsloc.harness import (
     write_rows_csv,
 )
 from irsloc.ranging import RangingConfig
-from irsloc.scene import Point2D, Scene, check_topology, mirror_across_bs_line
+from irsloc.scene import (
+    Point2D,
+    Scene,
+    SceneSamplingError,
+    check_topology,
+    mirror_across_bs_line,
+)
 from irsloc.waveform import OfdmConfig
 
 
@@ -89,6 +98,13 @@ class TestConfig:
         cfg.save(path)
         loaded = ExperimentConfig.load(path)
         assert loaded.ranging == rcfg
+
+    def test_stock_configs_save_byte_for_byte(self, tmp_path):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert len(paths) >= 3
+        for path in paths:
+            ExperimentConfig.load(path).save(tmp_path / path.name)
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
     def test_from_dict_ignores_retired_solver_limits(self):
         rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
@@ -189,6 +205,35 @@ class TestCardinality:
         rows = cardinality_experiment(cfg, k_values=(2,))
         assert rows[0]["reduced_kind"] == "closest_irs"
         assert rows[0]["n_irs"] == 3
+
+    @pytest.mark.parametrize("n_irs", (1, 3))
+    def test_unplaceable_scene_is_skipped_and_counted(self, monkeypatch, n_irs):
+        cfg = default_config(n_irs, trials=2, seed=5)
+        alone = cardinality_experiment(replace(cfg, trials=1), k_values=(2, 3))
+        sample = harness.sample_targets
+
+        def fail_second_scene(*args, **kwargs):
+            # each K draws scene i from spawn key (i, 0)
+            if args[4].spawn_key == (1, 0):
+                raise SceneSamplingError("unplaceable")
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_targets", fail_second_scene)
+        rows = cardinality_experiment(cfg, k_values=(2, 3))
+        assert [row["sampling_failures"] for row in alone] == [0, 0]
+        for row, one in zip(rows, alone):
+            # the sweep goes on, with means over the one placed scene
+            assert row == {**one, "trials": 2, "sampling_failures": 1}
+
+    def test_no_placed_scene_gives_nan_means(self, monkeypatch):
+        def never_place(*args, **kwargs):
+            raise SceneSamplingError("unplaceable")
+
+        monkeypatch.setattr(harness, "sample_targets", never_place)
+        (row,) = cardinality_experiment(default_config(1, trials=3), k_values=(2,))
+        assert row["sampling_failures"] == 3
+        for key in ("mean_feasible", "se_feasible", "mean_reduced", "se_reduced"):
+            assert math.isnan(row[key])
 
 
 class TestTopology:

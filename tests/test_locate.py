@@ -2,24 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsloc.association import AssociationTuple, enumerate_feasible, ground_truth_solution
+from irsloc import locate
+from irsloc.association import FeasibleSet, enumerate_feasible, ground_truth_solution
+from irsloc.harness import DEFAULT_IRS_LAYOUTS
 from irsloc.locate import (
     GnConfig,
     ResidualWeights,
-    TupleCache,
     _constraints,
     _residual_and_jacobian,
     default_init,
     fit_position,
     gauss_newton_solve,
+    localize,
     residual_terms,
     select_association,
-    solve_multi_irs,
-    solve_single_irs,
 )
 from irsloc.ranging import RangeSets
-from irsloc.scene import Point2D, distance, sample_targets
+from irsloc.scene import Point2D, Scene, distance, sample_targets
 
 BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
 IRS1 = ((0.0, 40.0),)
@@ -32,6 +34,60 @@ GN = GnConfig()
 def scene_and_sets(irs, k, seed, cell_m=None):
     scene = sample_targets(BS, irs, k, 50.0, seed=seed)
     return scene, RangeSets.from_geometry(scene, cell_m=cell_m)
+
+
+def reference_select(feasible, sets, scene, w, cfg):
+    """Selection with no fit memo: every use of a tuple fits it again.
+
+    The reference for ``select_association``.  Returns the chosen solution,
+    its estimates, ``(n_solutions, n_survivors, fallback)`` and the set of
+    distinct tuples it fit.
+    """
+    fitted = set()
+
+    def solve(t):
+        fitted.add(t)
+        return gauss_newton_solve(sets, t, scene, w, cfg)
+
+    ordered = sorted(feasible.solutions)
+    bad = set()
+    best = None
+    best_total = math.inf
+    survivors = 0
+    for sol in ordered:
+        if any(t in bad for t in sol):
+            continue
+        total = 0.0
+        for t in sol:
+            residual = solve(t).residual
+            if residual >= cfg.residual_threshold:
+                bad.add(t)
+                break
+            total += residual
+        else:
+            survivors += 1
+            if total < best_total:
+                best_total = total
+                best = sol
+    fallback = best is None and bool(ordered)
+    if fallback:
+        for sol in ordered:
+            total = sum(solve(t).residual for t in sol)
+            if total < best_total:
+                best_total = total
+                best = sol
+    estimates = () if best is None else tuple(solve(t) for t in best)
+    return best, estimates, (len(ordered), survivors, fallback), fitted
+
+
+quantized_scenes = st.tuples(
+    st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1)
+)
+
+
+def quantized_scene_and_sets(k, r, seed):
+    scene = sample_targets(BS, DEFAULT_IRS_LAYOUTS[r], k, 50.0, seed=seed)
+    return scene, RangeSets.from_geometry(scene, cell_m=0.75)
 
 
 class TestWeights:
@@ -180,32 +236,76 @@ class TestSelection:
             best = min(sorted(feas.solutions), key=total)
             assert total(res.solution) == pytest.approx(total(best), abs=1e-9)
 
-    def test_memoization_is_transparent(self):
-        scene, sets = scene_and_sets(IRS1, 3, seed=4, cell_m=0.75)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scene_args=quantized_scenes,
+        closest=st.booleans(),
+        threshold=st.sampled_from((1e-12, 1.0, 16.0)),
+    )
+    def test_memoization_is_transparent(self, scene_args, closest, threshold):
+        # the fit memo only saves work: same answer and counts as refitting
+        # every tuple on every use, with one solver call per distinct tuple
+        scene, sets = quantized_scene_and_sets(*scene_args)
+        feas = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
+        cfg = GnConfig(residual_threshold=threshold)
+        res = select_association(feas, sets, scene, W, cfg)
+        solution, estimates, counts, fitted = reference_select(feas, sets, scene, W, cfg)
+        assert res.solution == solution
+        assert res.estimates == estimates
+        assert (res.stats.n_solutions, res.stats.n_survivors, res.stats.fallback) == counts
+        assert res.stats.solver_calls == len(fitted)
+
+    @settings(max_examples=20, deadline=None)
+    @given(scene_args=quantized_scenes, order_seed=st.integers(0, 2**32 - 1))
+    def test_permuted_feasible_set_gives_identical_result(self, scene_args, order_seed):
+        scene, sets = quantized_scene_and_sets(*scene_args)
         feas = enumerate_feasible(sets, scene, tau=1.5)
-        fast = select_association(feas, sets, scene, W, GN, memoize=True)
-        slow = select_association(feas, sets, scene, W, GN, memoize=False)
-        assert fast.solution == slow.solution
-        assert [e.position for e in fast.estimates] == [
-            e.position for e in slow.estimates
-        ]
-        assert fast.stats.solver_calls <= slow.stats.solver_calls
+        order = np.random.default_rng(order_seed).permutation(len(feas.solutions))
+        permuted = FeasibleSet(
+            solutions=tuple(feas.solutions[i] for i in order),
+            tau=feas.tau,
+            closest_irs_filter=feas.closest_irs_filter,
+        )
+        assert select_association(permuted, sets, scene, W, GN) == select_association(
+            feas, sets, scene, W, GN
+        )
 
-    def test_cache_counts_calls(self):
+    def test_tied_solutions_resolve_to_the_lexicographic_first(self):
+        # two targets a few centimeters apart share every quantized range, so
+        # solutions that swap their indices tie exactly on total residual
+        scene = Scene(
+            bs=BS,
+            irs=(Point2D(0.0, 40.0),),
+            targets=(Point2D(10.0, 20.0), Point2D(10.02, 20.03), Point2D(-30.0, 25.0)),
+            true_irs=(0, 0, 0),
+        )
+        sets = RangeSets.from_geometry(scene, cell_m=0.75)
+        feas = enumerate_feasible(sets, scene, tau=1.5)
+        res = select_association(feas, sets, scene, W, GN)
+        assert res.stats.n_survivors == len(feas.solutions) > 1
+        assert res.solution == min(feas.solutions)
+        reversed_set = FeasibleSet(
+            solutions=feas.solutions[::-1],
+            tau=feas.tau,
+            closest_irs_filter=feas.closest_irs_filter,
+        )
+        assert select_association(reversed_set, sets, scene, W, GN) == res
+
+    def test_cache_counts_calls(self, monkeypatch):
         calls = []
-        scene, sets = scene_and_sets(IRS1, 2, seed=6)
 
-        def solver(t):
+        def counting_solve(sets, t, scene, w, cfg):
             calls.append(t)
-            return gauss_newton_solve(sets, t, scene, W, GN)
+            return gauss_newton_solve(sets, t, scene, w, cfg)
 
-        cache = TupleCache(solver)
-        t = AssociationTuple(0, 0, 0, 0, 0)
-        a = cache.get(t)
-        b = cache.get(t)
-        assert a is b
-        assert cache.solver_calls == 1
-        assert len(calls) == 1
+        monkeypatch.setattr(locate, "gauss_newton_solve", counting_solve)
+        scene, sets = scene_and_sets(IRS1, 4, seed=7, cell_m=0.75)
+        feas = enumerate_feasible(sets, scene, tau=1.5)
+        res = select_association(feas, sets, scene, W, GN)
+        uses = sum(len(sol) for sol in feas.solutions)
+        # tuples recur across solutions, yet each is fit once and counted
+        assert len(set(calls)) < uses
+        assert len(calls) == len(set(calls)) == res.stats.solver_calls
 
     def test_fallback_when_everything_pruned(self):
         scene, sets = scene_and_sets(IRS1, 2, seed=8, cell_m=0.75)
@@ -230,22 +330,33 @@ class TestSelection:
         assert res.estimates == ()
 
 
-class TestEntryPoints:
-    def test_single_irs_requires_one_irs(self):
-        scene, sets = scene_and_sets(IRS2, 2, seed=1)
-        with pytest.raises(ValueError):
-            solve_single_irs(sets, scene, 1.5, W, GN)
+class TestLocalize:
+    @staticmethod
+    def check_selects_from(irs, closest):
+        # localize must equal selection on the set with the given filter;
+        # some scene must make that set differ from the other one, so the
+        # comparison can tell the two apart
+        sizes_differ = False
+        for seed in range(12):
+            scene, sets = scene_and_sets(irs, 3, seed=seed, cell_m=0.75)
+            feas = enumerate_feasible(sets, scene, 1.5, use_closest_irs=closest)
+            other = enumerate_feasible(sets, scene, 1.5, use_closest_irs=not closest)
+            sizes_differ |= len(feas.solutions) != len(other.solutions)
+            assert localize(sets, scene, 1.5, W, GN) == select_association(
+                feas, sets, scene, W, GN
+            )
+        assert sizes_differ
 
-    def test_multi_irs_delegates_for_one_irs(self):
-        scene, sets = scene_and_sets(IRS1, 3, seed=2, cell_m=0.75)
-        a = solve_single_irs(sets, scene, 1.5, W, GN)
-        b = solve_multi_irs(sets, scene, 1.5, W, GN)
-        assert a.solution == b.solution
-        assert a.stats == b.stats
+    def test_one_irs_selects_from_plain_set(self):
+        self.check_selects_from(IRS1, closest=False)
+
+    def test_several_irs_select_from_closest_filtered_set(self):
+        self.check_selects_from(IRS2, closest=True)
+        self.check_selects_from(DEFAULT_IRS_LAYOUTS[3], closest=True)
 
     def test_multi_irs_localizes_quantized(self):
         scene, sets = scene_and_sets(IRS2, 4, seed=2, cell_m=0.75)
-        res = solve_multi_irs(sets, scene, 1.5, W, GN)
+        res = localize(sets, scene, 1.5, W, GN)
         assert res.solution is not None
         order = sorted(range(4), key=lambda i: distance(scene.bs[0], scene.targets[i]))
         for rank, est in enumerate(res.estimates):
