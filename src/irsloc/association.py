@@ -23,6 +23,7 @@ A second, optional filter intersects the two direct-range circles and keeps
 only hypotheses whose IRS is nearest to one of the two intersection points.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -161,6 +162,15 @@ def closest_irs_candidates(
     return frozenset(candidates)
 
 
+def closest_irs_rule(scene: Scene, sets: RangeSets):
+    """The nearest-surface rule of one scene as a memoized lookup.
+
+    ``rule(direct1, direct2)`` is ``closest_irs_candidates`` for that pick,
+    computed on first lookup only; a hypothesis passes when its IRS is in it.
+    """
+    return functools.cache(functools.partial(closest_irs_candidates, scene, sets))
+
+
 def enumerate_feasible(
     sets: RangeSets,
     scene: Scene,
@@ -171,19 +181,19 @@ def enumerate_feasible(
 
     Targets are taken in BS 1 direct-list order, so level ``k`` pins
     ``direct1 = k`` and branches over unused picks of the other three lists
-    and over serving IRSs; branches whose consistency gap reaches ``tau``
-    are cut immediately (same exclusive boundary as consistency_check).
-    Candidates at each level are visited in order of increasing gap, which
-    makes the output order deterministic.  With ``use_closest_irs``,
-    hypotheses whose IRS is not nearest to a direct-circle intersection
-    point are cut as well.
+    and over serving IRSs.  Each node evaluates the consistency gap over its
+    whole free (direct2, via1, via2, irs) grid in one array expression and
+    cuts every pick whose gap reaches ``tau`` (same exclusive boundary as
+    consistency_check).  Candidates are visited in order of increasing gap,
+    ties broken by index, which makes the output order deterministic.  With
+    ``use_closest_irs``, picks that fail the nearest-surface rule
+    (``closest_irs_rule``) are cut as well.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     k = len(sets.direct[0])
     if not sets.balanced(k):
         raise ValueError(f"unbalanced range lists {sets.counts()}; need K entries each")
-    n_irs = scene.n_irs
 
     d1 = np.asarray(sets.direct[0])
     d2 = np.asarray(sets.direct[1])
@@ -193,19 +203,10 @@ def enumerate_feasible(
         [[distance(bs_pos, q) for q in scene.irs] for bs_pos in scene.bs]
     )
     bi_gap = d_bi[0] - d_bi[1]
-    # a_m[v, d] = via_m[v] - direct_m[d] / 2; gap needs only their difference
-    a1 = v1[:, None] - 0.5 * d1[None, :]
-    a2 = v2[:, None] - 0.5 * d2[None, :]
-
-    irs_memo: dict[tuple[int, int], frozenset[int]] = {}
-
-    def allowed_irs(i: int, j: int) -> frozenset[int]:
-        if not use_closest_irs:
-            return frozenset(range(n_irs))
-        key = (i, j)
-        if key not in irs_memo:
-            irs_memo[key] = closest_irs_candidates(scene, sets, i, j)
-        return irs_memo[key]
+    # a_m[d, v] = via_m[v] - direct_m[d] / 2; gap needs only their difference
+    a1 = v1[None, :] - 0.5 * d1[:, None]
+    a2 = v2[None, :] - 0.5 * d2[:, None]
+    allowed = closest_irs_rule(scene, sets) if use_closest_irs else None
 
     solutions: list[tuple[AssociationTuple, ...]] = []
     partial: list[AssociationTuple] = []
@@ -217,26 +218,26 @@ def enumerate_feasible(
         if level == k:
             solutions.append(tuple(partial))
             return
-        d2_idx = [j for j in range(k) if free_d2[j]]
-        v1_idx = [j for j in range(k) if free_v1[j]]
-        v2_idx = [j for j in range(k) if free_v2[j]]
-        candidates = []
-        for j in d2_idx:
-            gammas = [g for g in allowed_irs(level, j)]
-            if not gammas:
-                continue
-            # gap over the (via1, via2, irs) grid for this (direct1, direct2)
-            gaps = np.abs(
-                a1[v1_idx, level][:, None, None]
-                - a2[v2_idx, j][None, :, None]
-                - bi_gap[gammas][None, None, :]
-            )
-            for ia, ib, ig in np.argwhere(gaps < tau):
-                candidates.append(
-                    (float(gaps[ia, ib, ig]), j, v1_idx[ia], v2_idx[ib], gammas[ig])
-                )
-        candidates.sort()
-        for _, j, via1, via2, g in candidates:
+        d2_idx = np.array([j for j in range(k) if free_d2[j]])
+        v1_idx = np.array([j for j in range(k) if free_v1[j]])
+        v2_idx = np.array([j for j in range(k) if free_v2[j]])
+        gaps = np.abs(
+            a1[level, v1_idx][None, :, None, None]
+            - a2[d2_idx[:, None], v2_idx][:, None, :, None]
+            - bi_gap
+        )
+        keep = gaps < tau
+        jj, ia, ib, gg = keep.nonzero()
+        candidates = zip(
+            gaps[keep].tolist(),
+            d2_idx[jj].tolist(),
+            v1_idx[ia].tolist(),
+            v2_idx[ib].tolist(),
+            gg.tolist(),
+        )
+        if allowed is not None:
+            candidates = [c for c in candidates if c[4] in allowed(level, c[1])]
+        for _, j, via1, via2, g in sorted(candidates):
             partial.append(
                 AssociationTuple(direct1=level, direct2=j, via1=via1, via2=via2, irs=g)
             )

@@ -51,6 +51,7 @@ from .ranging import (
     weighted_lasso_solve,
 )
 from .association import (
+    closest_irs_rule,
     count_unfiltered_solutions,
     enumerate_feasible,
     ground_truth_solution,
@@ -400,9 +401,11 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
 
     For each K: mean size of the consistency-filtered set, plus the second
     reduction stage, which is residual pruning for a single IRS and the
-    closest-IRS filter for several.  Scenes whose targets cannot be placed
-    are skipped and counted in ``sampling_failures``; the means are over the
-    placed scenes, NaN when there are none.
+    closest-IRS filter for several: the feasible solutions whose every tuple
+    passes ``closest_irs_rule``, so each scene is enumerated once.  Scenes
+    whose targets cannot be placed are skipped and counted in
+    ``sampling_failures``; the means are over the placed scenes, NaN when
+    there are none.
     """
     rows = []
     r = len(cfg.irs)
@@ -428,10 +431,13 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
                 sel = select_association(plain, sets, scene, kcfg.weights, kcfg.gn)
                 reduced.append(sel.stats.n_survivors)
             else:
-                filtered = enumerate_feasible(
-                    sets, scene, kcfg.tau_m, use_closest_irs=True
+                rule = closest_irs_rule(scene, sets)
+                reduced.append(
+                    sum(
+                        all(t.irs in rule(t.direct1, t.direct2) for t in sol)
+                        for sol in plain.solutions
+                    )
                 )
-                reduced.append(len(filtered.solutions))
         mean_feasible, se_feasible = _mean_and_se(feas)
         mean_reduced, se_reduced = _mean_and_se(reduced)
         rows.append(
@@ -705,6 +711,8 @@ def uniqueness_experiment(
     With exact ranges and a tolerance near zero the consistency filter must
     leave exactly one solution, the true one, and the fit must reproduce the
     true positions.  Reports the success count and the worst position error.
+    Scenes whose targets cannot be placed are skipped and counted in
+    ``sampling_failures``.
     """
     w = ResidualWeights()
     gn = GnConfig()
@@ -714,10 +722,15 @@ def uniqueness_experiment(
     unique = 0
     worst = 0.0
     failures = []
+    sampling_failures = 0
     for i, s in enumerate(seeds):
         k, r = combos[i % len(combos)]
         irs = DEFAULT_IRS_LAYOUTS[r]
-        scene = sample_targets(bs, irs, k, radius, s, cell_m=DEFAULT_CELL_M)
+        try:
+            scene = sample_targets(bs, irs, k, radius, s, cell_m=DEFAULT_CELL_M)
+        except SceneSamplingError:
+            sampling_failures += 1
+            continue
         sets = RangeSets.from_geometry(scene, cell_m=None)
         feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=False)
         truth = ground_truth_solution(scene, sets, cell_m=None)
@@ -742,6 +755,7 @@ def uniqueness_experiment(
             failures.append({"scene": i, "k": k, "r": r, "n_solutions": len(feasible.solutions)})
     return {
         "scenes": n_scenes,
+        "sampling_failures": sampling_failures,
         "unique_and_correct": unique,
         "localized": successes,
         "worst_position_error_m": worst,

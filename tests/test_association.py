@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsloc.association import (
     AssociationTuple,
+    FeasibleSet,
     brute_force_solutions,
     circle_intersections,
     closest_irs_candidates,
@@ -17,6 +20,7 @@ from irsloc.association import (
     is_valid_solution,
     solutions_equivalent,
 )
+from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
 from irsloc.ranging import RangeSets
 from irsloc.scene import Point2D, Scene, distance, sample_targets
 
@@ -28,6 +32,102 @@ IRS2 = ((-60.0, 40.0), (70.0, 40.0))
 def scene_and_sets(irs, k, seed, cell_m=None):
     scene = sample_targets(BS, irs, k, 50.0, seed=seed)
     return scene, RangeSets.from_geometry(scene, cell_m=cell_m)
+
+
+def stock_scene_and_sets(k, r, seed):
+    """A quantized scene on the stock BS pair and R-surface layout."""
+    scene = sample_targets(DEFAULT_BS, DEFAULT_IRS_LAYOUTS[r], k, 50.0, seed=seed)
+    return scene, RangeSets.from_geometry(scene, cell_m=0.75)
+
+
+def stock_scenes(k_max):
+    return st.tuples(st.integers(2, k_max), st.integers(1, 3), st.integers(0, 2**32 - 1))
+
+
+def reference_enumerate(
+    sets: RangeSets,
+    scene: Scene,
+    tau: float,
+    use_closest_irs: bool = False,
+) -> FeasibleSet:
+    """The per-pick depth-first enumeration, kept as the oracle.
+
+    Each node loops over the free ``direct2`` picks and evaluates the gap
+    over that pick's (via1, via2, irs) grid; the nearest-surface rule is a
+    per-pick memo of ``closest_irs_candidates``.  ``enumerate_feasible`` must
+    return the same solutions in the same order.
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    k = len(sets.direct[0])
+    if not sets.balanced(k):
+        raise ValueError(f"unbalanced range lists {sets.counts()}; need K entries each")
+    n_irs = scene.n_irs
+
+    d1 = np.asarray(sets.direct[0])
+    d2 = np.asarray(sets.direct[1])
+    v1 = np.asarray(sets.via_irs[0])
+    v2 = np.asarray(sets.via_irs[1])
+    d_bi = np.array(
+        [[distance(bs_pos, q) for q in scene.irs] for bs_pos in scene.bs]
+    )
+    bi_gap = d_bi[0] - d_bi[1]
+    # a_m[v, d] = via_m[v] - direct_m[d] / 2; gap needs only their difference
+    a1 = v1[:, None] - 0.5 * d1[None, :]
+    a2 = v2[:, None] - 0.5 * d2[None, :]
+
+    irs_memo: dict[tuple[int, int], frozenset[int]] = {}
+
+    def allowed_irs(i: int, j: int) -> frozenset[int]:
+        if not use_closest_irs:
+            return frozenset(range(n_irs))
+        key = (i, j)
+        if key not in irs_memo:
+            irs_memo[key] = closest_irs_candidates(scene, sets, i, j)
+        return irs_memo[key]
+
+    solutions: list[tuple[AssociationTuple, ...]] = []
+    partial: list[AssociationTuple] = []
+    free_d2 = [True] * k
+    free_v1 = [True] * k
+    free_v2 = [True] * k
+
+    def recurse(level: int) -> None:
+        if level == k:
+            solutions.append(tuple(partial))
+            return
+        d2_idx = [j for j in range(k) if free_d2[j]]
+        v1_idx = [j for j in range(k) if free_v1[j]]
+        v2_idx = [j for j in range(k) if free_v2[j]]
+        candidates = []
+        for j in d2_idx:
+            gammas = [g for g in allowed_irs(level, j)]
+            if not gammas:
+                continue
+            # gap over the (via1, via2, irs) grid for this (direct1, direct2)
+            gaps = np.abs(
+                a1[v1_idx, level][:, None, None]
+                - a2[v2_idx, j][None, :, None]
+                - bi_gap[gammas][None, None, :]
+            )
+            for ia, ib, ig in np.argwhere(gaps < tau):
+                candidates.append(
+                    (float(gaps[ia, ib, ig]), j, v1_idx[ia], v2_idx[ib], gammas[ig])
+                )
+        candidates.sort()
+        for _, j, via1, via2, g in candidates:
+            partial.append(
+                AssociationTuple(direct1=level, direct2=j, via1=via1, via2=via2, irs=g)
+            )
+            free_d2[j] = free_v1[via1] = free_v2[via2] = False
+            recurse(level + 1)
+            free_d2[j] = free_v1[via1] = free_v2[via2] = True
+            partial.pop()
+
+    recurse(0)
+    return FeasibleSet(
+        solutions=tuple(solutions), tau=tau, closest_irs_filter=use_closest_irs
+    )
 
 
 class TestCounts:
@@ -207,6 +307,56 @@ class TestEnumeration:
             assert any(
                 solutions_equivalent(sets, sol, truth) for sol in reduced.solutions
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene_args=stock_scenes(6), closest=st.booleans())
+    def test_matches_reference_enumeration(self, scene_args, closest):
+        # same solutions in the same order as the per-pick oracle
+        scene, sets = stock_scene_and_sets(*scene_args)
+        got = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
+        want = reference_enumerate(sets, scene, tau=1.5, use_closest_irs=closest)
+        assert got.solutions == want.solutions
+
+    @settings(max_examples=30, deadline=None)
+    @given(scene_args=stock_scenes(3), closest=st.booleans())
+    def test_matches_filtered_brute_force(self, scene_args, closest):
+        scene, sets = stock_scene_and_sets(*scene_args)
+        k, r = scene.n_targets, scene.n_irs
+
+        def passes(t):
+            return consistency_check(sets, t, scene, 1.5) and (
+                not closest
+                or t.irs in closest_irs_candidates(scene, sets, t.direct1, t.direct2)
+            )
+
+        ok = {}
+        want = {
+            sol
+            for sol in brute_force_solutions(k, r)
+            if all(ok.setdefault(t, passes(t)) for t in sol)
+        }
+        feas = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
+        assert set(feas.solutions) == want
+        assert len(feas.solutions) == len(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scene_args=stock_scenes(6))
+    def test_closest_filter_restricts_the_plain_set(self, scene_args):
+        # the pruned search is the plain search with branches cut, so the
+        # plain set restricted to the nearest-surface rule is the pruned set,
+        # order included; this is how cardinality_experiment counts it
+        scene, sets = stock_scene_and_sets(*scene_args)
+        plain = enumerate_feasible(sets, scene, tau=1.5)
+        restricted = tuple(
+            sol
+            for sol in plain.solutions
+            if all(
+                t.irs in closest_irs_candidates(scene, sets, t.direct1, t.direct2)
+                for t in sol
+            )
+        )
+        pruned = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=True)
+        assert pruned.solutions == restricted
 
     def test_rejects_bad_inputs(self):
         scene, sets = scene_and_sets(IRS1, 2, seed=1)

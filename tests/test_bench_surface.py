@@ -1,6 +1,6 @@
 """The benchmark in ``perfbench/`` runs against the package's public names.
 
-Its workload and check modules are loaded by file path, unchanged, and two
+Its workload and check modules are loaded by file path, unchanged, and a few
 trials of each gated workload go through the untraced run, the traced
 rebuild and every per-trial output check.  A package change that renames or
 removes a name the benchmark uses, or changes an outcome the traced rebuild
@@ -36,15 +36,22 @@ def bench():
             sys.modules[name] = module
 
 
-@pytest.mark.parametrize("name", ("geo-k4-r1", "wave-k4-r3", "card-k6-r3"))
+# card-k6-r3's traced rebuild still counts the closest-surface set with a
+# second enumeration, which cardinality_experiment no longer runs, so more of
+# its trials compare the two counts
+TRIALS = {"geo-k4-r1": 2, "wave-k4-r3": 2, "card-k6-r3": 20}
+
+
+@pytest.mark.parametrize("name", TRIALS)
 def test_gated_workload_runs_and_passes_trial_checks(bench, name):
     workloads, checks = bench
     workload = workloads.WORKLOADS[name]
     cfg = workload.config()
+    n = TRIALS[name]
     untraced = [
-        workload.run(cfg, i, seq) for i, seq in enumerate(workload.trial_seeds(1, 2))
+        workload.run(cfg, i, seq) for i, seq in enumerate(workload.trial_seeds(1, n))
     ]
     tracer = workloads.Tracer()
-    for i, seq in enumerate(workload.trial_seeds(1, 2)):
+    for i, seq in enumerate(workload.trial_seeds(1, n)):
         traced, parts = workload.run_traced(cfg, i, seq, tracer)
         assert checks.trial_errors(workload, cfg, untraced[i], traced, parts) == []

@@ -29,15 +29,17 @@ from irsloc.harness import (
     write_localization_csv,
     write_rows_csv,
 )
-from irsloc.ranging import RangingConfig
+from irsloc.ranging import RangeSets, RangingConfig
 from irsloc.scene import (
     Point2D,
     Scene,
     SceneSamplingError,
     check_topology,
     mirror_across_bs_line,
+    sample_targets,
 )
 from irsloc.waveform import OfdmConfig
+from test_association import reference_enumerate
 
 
 class TestConfig:
@@ -189,6 +191,40 @@ class TestScoring:
         assert association_accuracy(outs) == pytest.approx(0.5)
 
 
+def oracle_cardinality_rows(cfg, k_values):
+    """Multi-IRS cardinality rows from two oracle enumerations per scene."""
+    rows = []
+    for k in k_values:
+        feas, reduced = [], []
+        for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+            scene = sample_targets(
+                cfg.bs, cfg.irs, k, cfg.target_radius_m, s.spawn(1)[0],
+                cell_m=cfg.ofdm.cell_m,
+            )
+            sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
+            plain = reference_enumerate(sets, scene, cfg.tau_m)
+            pruned = reference_enumerate(sets, scene, cfg.tau_m, use_closest_irs=True)
+            feas.append(len(plain.solutions))
+            reduced.append(len(pruned.solutions))
+        mean_feasible, se_feasible = harness._mean_and_se(feas)
+        mean_reduced, se_reduced = harness._mean_and_se(reduced)
+        rows.append(
+            {
+                "k": k,
+                "n_irs": len(cfg.irs),
+                "trials": cfg.trials,
+                "sampling_failures": 0,
+                "unfiltered": count_unfiltered_solutions(k, len(cfg.irs)),
+                "mean_feasible": mean_feasible,
+                "se_feasible": se_feasible,
+                "mean_reduced": mean_reduced,
+                "se_reduced": se_reduced,
+                "reduced_kind": "closest_irs",
+            }
+        )
+    return rows
+
+
 class TestCardinality:
     def test_rows_shape_and_counts(self):
         cfg = default_config(1, trials=30, seed=5)
@@ -224,6 +260,34 @@ class TestCardinality:
         for row, one in zip(rows, alone):
             # the sweep goes on, with means over the one placed scene
             assert row == {**one, "trials": 2, "sampling_failures": 1}
+
+    @pytest.mark.parametrize("n_irs, k_values", ((2, (2, 3, 4)), (3, (2, 3, 4, 5, 6))))
+    def test_multi_irs_rows_match_two_oracle_enumerations(self, n_irs, k_values):
+        cfg = default_config(n_irs, trials=12, seed=1)
+        rows = cardinality_experiment(cfg, k_values=k_values)
+        assert rows == oracle_cardinality_rows(cfg, k_values)
+        # the nearest-surface rule removes solutions at every K here
+        assert all(row["mean_reduced"] < row["mean_feasible"] for row in rows)
+
+    def test_one_enumeration_per_placed_multi_irs_scene(self, monkeypatch):
+        calls = []
+        enumerate_feasible = harness.enumerate_feasible
+        sample = harness.sample_targets
+
+        def counting_enumerate(*args, **kwargs):
+            calls.append(kwargs.get("use_closest_irs"))
+            return enumerate_feasible(*args, **kwargs)
+
+        def fail_first_scene(*args, **kwargs):
+            if args[4].spawn_key == (0, 0):
+                raise SceneSamplingError("unplaceable")
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "enumerate_feasible", counting_enumerate)
+        monkeypatch.setattr(harness, "sample_targets", fail_first_scene)
+        rows = cardinality_experiment(default_config(3, trials=5, seed=2), k_values=(3, 4))
+        assert [row["sampling_failures"] for row in rows] == [1, 1]
+        assert calls == [False] * 8
 
     def test_no_placed_scene_gives_nan_means(self, monkeypatch):
         def never_place(*args, **kwargs):
@@ -284,9 +348,25 @@ class TestUniqueness:
     def test_small_run_all_localized(self):
         report = uniqueness_experiment(18, seed=3)
         assert report["scenes"] == 18
+        assert report["sampling_failures"] == 0
         assert report["unique_and_correct"] == 18
         assert report["localized"] == 18
         assert report["worst_position_error_m"] < 1e-6
+        assert report["failures"] == []
+
+    def test_unplaceable_scene_is_skipped_and_counted(self, monkeypatch):
+        sample = harness.sample_targets
+
+        def fail_second_scene(*args, **kwargs):
+            if args[4].spawn_key == (1,):
+                raise SceneSamplingError("unplaceable")
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_targets", fail_second_scene)
+        report = uniqueness_experiment(9, seed=3)
+        assert report["scenes"] == 9
+        assert report["sampling_failures"] == 1
+        assert report["unique_and_correct"] == report["localized"] == 8
         assert report["failures"] == []
 
 
