@@ -181,11 +181,17 @@ def default_config(n_irs: int = 1, **overrides) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Scored result of one Monte-Carlo trial."""
+    """Scored result of one Monte-Carlo trial.
+
+    ``failure`` names why a trial stopped before association, one of
+    ``FAILURE_REASONS``, and is ``None`` on success; ``detection_failed`` is
+    true for every failed trial.
+    """
 
     trial: int
     k: int
     detection_failed: bool
+    failure: str | None
     association_correct: bool
     errors_m: tuple[float, ...]
     true_positions: tuple[Point2D, ...]
@@ -200,12 +206,16 @@ class TrialOutcome:
     wall_time_s: float
 
 
-def _failed_outcome(trial, k, scene, n_unfiltered, wall) -> TrialOutcome:
+FAILURE_REASONS = ("sampling", "delay_window", "unbalanced", "no_truth")
+
+
+def _failed_outcome(trial, k, scene, n_unfiltered, start, failure) -> TrialOutcome:
     truths = _true_positions_by_rank(scene) if scene is not None else tuple()
     return TrialOutcome(
         trial=trial,
         k=k,
         detection_failed=True,
+        failure=failure,
         association_correct=False,
         errors_m=tuple(math.inf for _ in range(k)),
         true_positions=truths,
@@ -217,7 +227,7 @@ def _failed_outcome(trial, k, scene, n_unfiltered, wall) -> TrialOutcome:
         n_survivors=0,
         solver_calls=0,
         fallback=False,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -288,7 +298,7 @@ def run_trial(
             cell_m=cfg.ofdm.cell_m,
         )
     except SceneSamplingError:
-        return _failed_outcome(trial, k, None, n_unfiltered, time.perf_counter() - start)
+        return _failed_outcome(trial, k, None, n_unfiltered, start, "sampling")
 
     if cfg.skip_phase1:
         sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
@@ -296,17 +306,13 @@ def run_trial(
         try:
             sets = _phase1_range_sets(scene, cfg, phase1_seed)
         except DelayWindowError:
-            return _failed_outcome(
-                trial, k, scene, n_unfiltered, time.perf_counter() - start
-            )
+            return _failed_outcome(trial, k, scene, n_unfiltered, start, "delay_window")
         if not sets.balanced(k):
-            return _failed_outcome(
-                trial, k, scene, n_unfiltered, time.perf_counter() - start
-            )
+            return _failed_outcome(trial, k, scene, n_unfiltered, start, "unbalanced")
 
     truth = ground_truth_solution(scene, sets, cell_m=cfg.ofdm.cell_m)
     if truth is None:
-        return _failed_outcome(trial, k, scene, n_unfiltered, time.perf_counter() - start)
+        return _failed_outcome(trial, k, scene, n_unfiltered, start, "no_truth")
 
     if oracle:
         estimates = tuple(
@@ -340,6 +346,7 @@ def run_trial(
         trial=trial,
         k=k,
         detection_failed=False,
+        failure=None,
         association_correct=correct,
         errors_m=errors,
         true_positions=truths,
@@ -528,7 +535,7 @@ def run_baseline_trial(
             cell_m=cfg.ofdm.cell_m,
         )
     except SceneSamplingError:
-        return _failed_outcome(trial, k, None, n_unfiltered, time.perf_counter() - start)
+        return _failed_outcome(trial, k, None, n_unfiltered, start, "sampling")
 
     cell = cfg.ofdm.cell_m
     ranges = [
@@ -537,7 +544,7 @@ def run_baseline_trial(
     ]
     truth = _baseline_truth(scene3, anchors, ranges, cell)
     if truth is None:
-        return _failed_outcome(trial, k, scene3, n_unfiltered, time.perf_counter() - start)
+        return _failed_outcome(trial, k, scene3, n_unfiltered, start, "no_truth")
 
     w = cfg.weights
     cache: dict[BaselineTriple, LocEstimate] = {}
@@ -616,6 +623,7 @@ def run_baseline_trial(
         trial=trial,
         k=k,
         detection_failed=False,
+        failure=None,
         association_correct=correct,
         errors_m=errors,
         true_positions=truths,
@@ -787,6 +795,7 @@ def write_localization_csv(path, outcomes) -> None:
                 "error_m",
                 "association_correct",
                 "detection_failed",
+                "failure",
             ]
         )
         for o in outcomes:
@@ -811,6 +820,7 @@ def write_localization_csv(path, outcomes) -> None:
                         "inf" if math.isinf(o.errors_m[rank]) else repr(o.errors_m[rank]),
                         int(o.association_correct),
                         int(o.detection_failed),
+                        o.failure or "",
                     ]
                 )
 
@@ -832,6 +842,10 @@ def summarize_localization(outcomes, error_radius: float, label: str) -> dict:
         "error_probability": error_probability(outcomes, error_radius),
         "association_accuracy": association_accuracy(outcomes),
         "detection_failures": sum(1 for o in outcomes if o.detection_failed),
+        **{
+            f"failures_{reason}": sum(1 for o in outcomes if o.failure == reason)
+            for reason in FAILURE_REASONS
+        },
         "mean_feasible": float(np.mean([o.n_feasible for o in outcomes])),
         "mean_survivors": float(np.mean([o.n_survivors for o in outcomes])),
         "mean_solver_calls": float(np.mean([o.solver_calls for o in outcomes])),

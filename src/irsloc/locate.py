@@ -5,7 +5,10 @@ circle constraints: each BS's half direct range is a distance to that BS,
 and each BS's implied target-to-IRS distance is a distance to the serving
 IRS.  The position estimate minimizes the squared residuals of those
 constraints, weighted by the standard deviation of the range quantization
-error; a damped Gauss-Newton iteration solves the 2-D problem.
+error; a damped Gauss-Newton iteration solves the 2-D problem.  The anchors,
+ranges and sigmas become arrays once per fit, so each evaluation gives all
+residuals and the Jacobian in one array expression, and each damped 2x2
+step ``(JᵀJ + λI) s = -Jᵀr`` is solved in closed form on Python floats.
 
 Solution selection evaluates every enumerated solution, fitting each
 distinct tuple once.  Any tuple whose fit residual exceeds a threshold is
@@ -112,42 +115,62 @@ def residual_terms(
     )
 
 
-def _residual_and_jacobian(pos: np.ndarray, triples):
-    r = np.empty(len(triples))
-    jac = np.empty((len(triples), 2))
-    for i, (anchor, rng, sigma) in enumerate(triples):
-        diff = pos - np.asarray(anchor, dtype=float)
-        d = math.hypot(diff[0], diff[1])
-        r[i] = (rng - d) / sigma
-        # range gradient is the unit vector away from the anchor
-        jac[i] = -diff / (max(d, 1e-12) * sigma)
-    return r, jac
+def _constraint_arrays(triples):
+    """The (n, 2) anchors, the ranges and the sigmas of the triples."""
+    anchors, ranges, sigmas = zip(*triples)
+    return np.array(anchors, dtype=float), np.array(ranges), np.array(sigmas)
+
+
+def _evaluate(pos: np.ndarray, anchors, ranges, sigmas):
+    """Weighted residuals and their Jacobian at ``pos``, all rows at once."""
+    diff = pos - anchors
+    d = np.hypot(diff[:, 0], diff[:, 1])
+    # range gradient is the unit vector away from the anchor
+    jac = diff / (-np.maximum(d, 1e-12) * sigmas)[:, None]
+    return (ranges - d) / sigmas, jac
+
+
+def _residual_and_jacobian(pos, triples):
+    return _evaluate(np.asarray(pos, dtype=float), *_constraint_arrays(triples))
+
+
+def _damped_step(a00, a01, a11, g0, g1, lam):
+    """Solve ``(A + λI) s = -g`` for symmetric 2x2 ``A``; None when singular."""
+    b00 = a00 + lam
+    b11 = a11 + lam
+    det = b00 * b11 - a01 * a01
+    if det == 0.0:
+        return None
+    return (a01 * g1 - b11 * g0) / det, (a01 * g0 - b00 * g1) / det
 
 
 def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
-    """Damped Gauss-Newton fit of circle constraints from ``init``."""
-    x = np.asarray(init, dtype=float).copy()
-    r, jac = _residual_and_jacobian(x, triples)
+    """Damped Gauss-Newton fit of circle constraints from ``init``.
+
+    A singular damped system raises λ tenfold, as a rejected step does.
+    """
+    arrays = _constraint_arrays(triples)
+    x = np.array(init, dtype=float)
+    r, jac = _evaluate(x, *arrays)
     cost = float(r @ r)
     lam = cfg.damping
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        a = jac.T @ jac
-        g = jac.T @ r
+        (a00, a01), (_, a11) = (jac.T @ jac).tolist()
+        g0, g1 = (jac.T @ r).tolist()
         step = None
         while lam <= 1e12:
-            try:
-                candidate = np.linalg.solve(a + lam * np.eye(2), -g)
-            except np.linalg.LinAlgError:
+            candidate = _damped_step(a00, a01, a11, g0, g1, lam)
+            if candidate is None:
                 lam *= 10.0
                 continue
-            r_new, jac_new = _residual_and_jacobian(x + candidate, triples)
+            x_new = x + candidate
+            r_new, jac_new = _evaluate(x_new, *arrays)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost + 1e-15:
                 step = candidate
-                x = x + candidate
-                r, jac, cost = r_new, jac_new, cost_new
+                x, r, jac, cost = x_new, r_new, jac_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 break
             lam *= 10.0

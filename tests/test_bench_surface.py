@@ -4,9 +4,12 @@ Its workload and check modules are loaded by file path, unchanged, and a few
 trials of each gated workload go through the untraced run, the traced
 rebuild and every per-trial output check.  A package change that renames or
 removes a name the benchmark uses, or changes an outcome the traced rebuild
-reproduces, fails here rather than in a benchmark run.
+reproduces, fails here rather than in a benchmark run.  So does a package
+too fast for the benchmark's layer-span coverage floor: a few hundred traced
+trials must meet the floor that ``perfbench/run.py`` sets.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -22,6 +25,17 @@ def load_by_path(name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def bench_constant(name: str):
+    """A module-level constant of ``perfbench/run.py``, read without running it."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not a constant of perfbench/run.py")
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +69,24 @@ def test_gated_workload_runs_and_passes_trial_checks(bench, name):
     for i, seq in enumerate(workload.trial_seeds(1, n)):
         traced, parts = workload.run_traced(cfg, i, seq, tracer)
         assert checks.trial_errors(workload, cfg, untraced[i], traced, parts) == []
+
+
+# The benchmark fails a run whose layer spans cover less than MIN_LAYER_SHARE
+# of its traced trial time.  The tracer's own cost per trial is fixed, so a
+# faster package leaves less margin; these trial counts keep the share within
+# a few tenths of a percent of a full benchmark run's.
+COVERAGE_TRIALS = {"geo-k4-r1": 300, "wave-k4-r3": 20}
+
+
+@pytest.mark.parametrize("name", COVERAGE_TRIALS)
+def test_layer_spans_cover_traced_trials(bench, name):
+    workloads, _ = bench
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config()
+    workload.run(cfg, 0, workload.trial_seeds(1, 1)[0])  # warm caches, as run.py does
+    tracer = workloads.Tracer()
+    for i, seq in enumerate(workload.trial_seeds(1, COVERAGE_TRIALS[name])):
+        workload.run_traced(cfg, i, seq, tracer)
+    trial_s = sum(end - start for _, span, start, end in tracer.spans if span == "trial")
+    layers_s = sum(end - start for _, span, start, end in tracer.spans if span != "trial")
+    assert layers_s / trial_s >= bench_constant("MIN_LAYER_SHARE")

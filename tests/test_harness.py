@@ -38,7 +38,7 @@ from irsloc.scene import (
     mirror_across_bs_line,
     sample_targets,
 )
-from irsloc.waveform import OfdmConfig
+from irsloc.waveform import DelayWindowError, OfdmConfig
 from test_association import reference_enumerate
 
 
@@ -153,6 +153,7 @@ class TestTrials:
         assert out.n_feasible >= 1
         assert len(out.errors_m) == 3
         assert not out.detection_failed
+        assert out.failure is None
 
     def test_phase1_trial_end_to_end(self):
         # one full waveform trial: synthesis, sparse recovery, association
@@ -161,6 +162,81 @@ class TestTrials:
         assert not out.detection_failed
         assert out.association_correct
         assert max(out.errors_m) < 0.8
+
+
+class TestFailures:
+    """Each way a trial can stop before association has its own reason."""
+
+    @staticmethod
+    def run_failing(cfg, run=run_trial):
+        out = run(cfg, 0, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        assert out.detection_failed
+        assert out.chosen is None
+        assert all(math.isinf(e) for e in out.errors_m)
+        return out
+
+    @pytest.mark.parametrize("run", [run_trial, harness.run_baseline_trial])
+    def test_sampling(self, monkeypatch, run):
+        def never_place(*args, **kwargs):
+            raise SceneSamplingError("no room")
+
+        monkeypatch.setattr(harness, "sample_targets", never_place)
+        out = self.run_failing(default_config(1, k=2, seed=3), run)
+        assert out.failure == "sampling"
+        assert out.true_positions == ()
+
+    def test_delay_window(self, monkeypatch):
+        def overflow(*args):
+            raise DelayWindowError("echo beyond the window")
+
+        monkeypatch.setattr(harness, "_phase1_range_sets", overflow)
+        cfg = default_config(1, k=2, seed=3, skip_phase1=False)
+        assert self.run_failing(cfg).failure == "delay_window"
+
+    def test_unbalanced(self, monkeypatch):
+        def one_direct_echo_missing(scene, cfg, seed_seq):
+            sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
+            return replace(sets, direct=(sets.direct[0][1:], sets.direct[1]))
+
+        monkeypatch.setattr(harness, "_phase1_range_sets", one_direct_echo_missing)
+        cfg = default_config(1, k=2, seed=3, skip_phase1=False)
+        assert self.run_failing(cfg).failure == "unbalanced"
+
+    @pytest.mark.parametrize(
+        "run, truth",
+        [
+            (run_trial, "ground_truth_solution"),
+            (harness.run_baseline_trial, "_baseline_truth"),
+        ],
+    )
+    def test_no_truth(self, monkeypatch, run, truth):
+        monkeypatch.setattr(harness, truth, lambda *args, **kwargs: None)
+        out = self.run_failing(default_config(1, k=2, seed=3), run)
+        assert out.failure == "no_truth"
+        assert len(out.true_positions) == 2
+
+    def test_reasons_in_csv_and_summary(self, monkeypatch, tmp_path):
+        cfg = default_config(1, k=2, trials=4, seed=3)
+        real = harness.ground_truth_solution
+        calls = []
+
+        def lose_every_other_truth(*args, **kwargs):
+            calls.append(None)
+            return None if len(calls) % 2 else real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ground_truth_solution", lose_every_other_truth)
+        outcomes = run_localization(cfg)
+        assert [o.failure for o in outcomes] == ["no_truth", None] * 2
+        row = summarize_localization(outcomes, 0.8, "algorithm")
+        assert row["detection_failures"] == row["failures_no_truth"] == 2
+        for reason in ("sampling", "delay_window", "unbalanced"):
+            assert row[f"failures_{reason}"] == 0
+        path = tmp_path / "loc.csv"
+        write_localization_csv(path, outcomes)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["failure"] for r in rows] == ["no_truth", "no_truth", "", ""] * 2
+        assert [r["detection_failed"] for r in rows] == ["1", "1", "0", "0"] * 2
 
 
 class TestScoring:

@@ -10,8 +10,10 @@ from irsloc.association import FeasibleSet, enumerate_feasible, ground_truth_sol
 from irsloc.harness import DEFAULT_IRS_LAYOUTS
 from irsloc.locate import (
     GnConfig,
+    LocEstimate,
     ResidualWeights,
     _constraints,
+    _damped_step,
     _residual_and_jacobian,
     default_init,
     fit_position,
@@ -36,18 +38,80 @@ def scene_and_sets(irs, k, seed, cell_m=None):
     return scene, RangeSets.from_geometry(scene, cell_m=cell_m)
 
 
-def reference_select(feasible, sets, scene, w, cfg):
+def reference_residual_and_jacobian(pos: np.ndarray, triples):
+    r = np.empty(len(triples))
+    jac = np.empty((len(triples), 2))
+    for i, (anchor, rng, sigma) in enumerate(triples):
+        diff = pos - np.asarray(anchor, dtype=float)
+        d = math.hypot(diff[0], diff[1])
+        r[i] = (rng - d) / sigma
+        # range gradient is the unit vector away from the anchor
+        jac[i] = -diff / (max(d, 1e-12) * sigma)
+    return r, jac
+
+
+def reference_fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
+    """Damped Gauss-Newton fit with a row loop and ``np.linalg.solve``.
+
+    The reference for ``fit_position``: same damping schedule, acceptance
+    test and stop rule, with the constraints evaluated one row at a time
+    and each damped step solved by LAPACK.
+    """
+    x = np.asarray(init, dtype=float).copy()
+    r, jac = reference_residual_and_jacobian(x, triples)
+    cost = float(r @ r)
+    lam = cfg.damping
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        a = jac.T @ jac
+        g = jac.T @ r
+        step = None
+        while lam <= 1e12:
+            try:
+                candidate = np.linalg.solve(a + lam * np.eye(2), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            r_new, jac_new = reference_residual_and_jacobian(x + candidate, triples)
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost + 1e-15:
+                step = candidate
+                x = x + candidate
+                r, jac, cost = r_new, jac_new, cost_new
+                lam = max(lam / 10.0, 1e-12)
+                break
+            lam *= 10.0
+        if step is None:
+            break
+        if math.hypot(step[0], step[1]) < cfg.step_tol_m:
+            converged = True
+            break
+    return LocEstimate(
+        position=Point2D(float(x[0]), float(x[1])),
+        residual=cost,
+        converged=converged,
+        n_iters=it,
+    )
+
+
+def reference_gauss_newton_solve(sets, t, scene, w, cfg):
+    triples = _constraints(sets, t, scene, w)
+    return reference_fit_position(triples, cfg, default_init(sets, t, scene))
+
+
+def reference_select(feasible, sets, scene, w, cfg, fit=gauss_newton_solve):
     """Selection with no fit memo: every use of a tuple fits it again.
 
-    The reference for ``select_association``.  Returns the chosen solution,
-    its estimates, ``(n_solutions, n_survivors, fallback)`` and the set of
-    distinct tuples it fit.
+    The reference for ``select_association``; ``fit`` fits one tuple.
+    Returns the chosen solution, its estimates, ``(n_solutions,
+    n_survivors, fallback)`` and the set of distinct tuples it fit.
     """
     fitted = set()
 
     def solve(t):
         fitted.add(t)
-        return gauss_newton_solve(sets, t, scene, w, cfg)
+        return fit(sets, t, scene, w, cfg)
 
     ordered = sorted(feasible.solutions)
     bad = set()
@@ -199,6 +263,131 @@ class TestFit:
         # may land on the mirror optimum, but must converge somewhere finite
         assert est.converged
         assert math.isfinite(est.residual)
+
+
+# Tolerances of the closed-form fit against the row-loop reference: both run
+# the same iteration, so they differ only by rounding in the step solve and
+# the residual rows (at most 1.2e-6 m and 6e-11 relative over 8.8k fits).
+POSITION_TOL_M = 1e-5
+RESIDUAL_REL_TOL = 1e-9
+
+
+def assert_fit_matches(est, ref, threshold):
+    assert distance(est.position, ref.position) <= POSITION_TOL_M
+    assert est.residual == pytest.approx(ref.residual, rel=RESIDUAL_REL_TOL, abs=0.0)
+    assert (est.residual >= threshold) == (ref.residual >= threshold)
+
+
+def scene_tuples(k, r, seed):
+    """A quantized stock scene, its range sets and every feasible tuple."""
+    scene, sets = quantized_scene_and_sets(k, r, seed)
+    feas = enumerate_feasible(sets, scene, tau=1.5)
+    return scene, sets, sorted({t for sol in feas.solutions for t in sol})
+
+
+class TestFitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scene_args=quantized_scenes,
+        pos=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+    )
+    def test_residual_and_jacobian_match_reference(self, scene_args, pos):
+        scene, sets, tuples = scene_tuples(*scene_args)
+        if not tuples:
+            return
+        triples = _constraints(sets, tuples[0], scene, W)
+        r, jac = _residual_and_jacobian(np.array(pos), triples)
+        r_ref, jac_ref = reference_residual_and_jacobian(np.array(pos), triples)
+        np.testing.assert_allclose(r, r_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(jac, jac_ref, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        jac=st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        r=st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4),
+        lam=st.sampled_from((1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e12)),
+    )
+    def test_damped_step_solves_the_damped_system(self, jac, r, lam):
+        jac = np.array(jac)
+        a = jac.T @ jac + lam * np.eye(2)
+        g = jac.T @ np.array(r[: len(jac)])
+        (a00, a01), (_, a11) = (jac.T @ jac).tolist()
+        step = _damped_step(a00, a01, a11, *g.tolist(), lam)
+        ref = np.linalg.solve(a, -g)
+        # forward error within what the system's conditioning allows
+        bound = 1e-13 * np.linalg.cond(a) * np.linalg.norm(ref)
+        assert np.linalg.norm(np.array(step) - ref) <= bound
+
+    def test_damped_step_singular_where_lapack_is(self):
+        # a rank-one JᵀJ that absorbs the damping is singular to both solvers
+        a = np.full((2, 2), 1e6)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a + 1e-12 * np.eye(2), -np.ones(2))
+        assert _damped_step(1e6, 1e6, 1e6, 1.0, 1.0, 1e-12) is None
+
+    def test_init_on_an_anchor(self):
+        # zero distance to an anchor takes the clamped-gradient branch
+        scene, sets = scene_and_sets(IRS1, 2, seed=3, cell_m=0.75)
+        t = ground_truth_solution(scene, sets, cell_m=0.75)[0]
+        triples = _constraints(sets, t, scene, W)
+        for anchor in (*scene.bs, scene.irs[0]):
+            _, jac = _residual_and_jacobian(np.array(anchor), triples)
+            assert np.all(np.isfinite(jac))
+            assert_fit_matches(
+                fit_position(triples, GN, anchor),
+                reference_fit_position(triples, GN, anchor),
+                GN.residual_threshold,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scene_args=quantized_scenes,
+        offsets=st.lists(
+            st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_fit_matches_reference(self, scene_args, offsets):
+        # every feasible tuple, from its default start and from random starts
+        scene, sets, tuples = scene_tuples(*scene_args)
+        for t in tuples:
+            triples = _constraints(sets, t, scene, W)
+            start = default_init(sets, t, scene)
+            inits = [start] + [(start.x + dx, start.y + dy) for dx, dy in offsets]
+            for init in inits:
+                assert_fit_matches(
+                    fit_position(triples, GN, init),
+                    reference_fit_position(triples, GN, init),
+                    GN.residual_threshold,
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scene_args=quantized_scenes,
+        closest=st.booleans(),
+        threshold=st.sampled_from((1e-12, 1.0, 16.0)),
+    )
+    def test_selection_matches_reference_fit(self, scene_args, closest, threshold):
+        # selection over the shipped fit makes every decision the reference
+        # fit makes: same solution, counts and fallback
+        scene, sets = quantized_scene_and_sets(*scene_args)
+        feas = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
+        cfg = GnConfig(residual_threshold=threshold)
+        res = select_association(feas, sets, scene, W, cfg)
+        solution, estimates, counts, fitted = reference_select(
+            feas, sets, scene, W, cfg, fit=reference_gauss_newton_solve
+        )
+        assert res.solution == solution
+        assert (res.stats.n_solutions, res.stats.n_survivors, res.stats.fallback) == counts
+        assert res.stats.solver_calls == len(fitted)
+        assert len(res.estimates) == len(estimates)
+        for est, ref in zip(res.estimates, estimates):
+            assert_fit_matches(est, ref, threshold)
 
 
 class TestSelection:
