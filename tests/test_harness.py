@@ -1,19 +1,21 @@
 import csv
 import json
 import math
-from dataclasses import replace
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irsloc import harness
-from irsloc.association import count_unfiltered_solutions
+from irsloc.association import circle_intersections, count_unfiltered_solutions
 from irsloc.cli import main
 from irsloc.harness import (
     DEFAULT_BS,
     DEFAULT_IRS_LAYOUTS,
     ExperimentConfig,
+    TrialOutcome,
     baseline_3bs,
     cardinality_experiment,
     default_config,
@@ -29,12 +31,14 @@ from irsloc.harness import (
     write_localization_csv,
     write_rows_csv,
 )
-from irsloc.ranging import RangeSets, RangingConfig
+from irsloc.locate import GnConfig, LocEstimate, fit_position
+from irsloc.ranging import RangeSets, RangingConfig, quantize_range
 from irsloc.scene import (
     Point2D,
     Scene,
     SceneSamplingError,
     check_topology,
+    distance,
     mirror_across_bs_line,
     sample_targets,
 )
@@ -410,6 +414,182 @@ class TestTopology:
             assert 0.0 <= row["error_probability"] <= 1.0
 
 
+@dataclass(frozen=True)
+class BaselineTriple:
+    """Index pick (rank-pinned anchor 1, anchors 2 and 3) for one target."""
+
+    i1: int
+    i2: int
+    i3: int
+
+
+def _baseline_truth(scene3, anchors, ranges, cell_m):
+    k = scene3.n_targets
+    order = sorted(range(k), key=lambda i: distance(anchors[0], scene3.targets[i]))
+    used = [set(), set(), set()]
+
+    def claim(a: int, value: float) -> int | None:
+        q = quantize_range(value, cell_m)
+        for idx, v in enumerate(ranges[a]):
+            if idx not in used[a] and abs(v - q) <= 1e-9:
+                used[a].add(idx)
+                return idx
+        return None
+
+    triples = []
+    for rank, i in enumerate(order):
+        t = scene3.targets[i]
+        picks = [claim(a, 2.0 * distance(anchors[a], t)) for a in range(3)]
+        if any(p is None for p in picks) or picks[0] != rank:
+            return None
+        triples.append(BaselineTriple(i1=picks[0], i2=picks[1], i3=picks[2]))
+    return tuple(triples)
+
+
+def _baseline_init(anchors, radii):
+    points = circle_intersections(anchors[0], radii[0], anchors[1], radii[1])
+    if not points:
+        return anchors[2]
+    fit = [abs(distance(anchors[2], p) - radii[2]) for p in points]
+    return points[int(np.argmin(fit))]
+
+
+def _true_positions_by_rank(scene):
+    order = sorted(
+        range(scene.n_targets), key=lambda i: distance(scene.bs[0], scene.targets[i])
+    )
+    return tuple(scene.targets[i] for i in order)
+
+
+def reference_baseline_trial(cfg, trial, seed_seq, oracle=False):
+    """The three-active-BS trial as a standalone pipeline; oracle only.
+
+    Its own target labeling, truth matching, search and scoring, written
+    out in full so the package's shared versions are pinned against it.
+    """
+    start = time.perf_counter()
+    k = cfg.k
+    anchors = (cfg.bs[0], cfg.bs[1], cfg.irs[0])
+    n_unfiltered = math.factorial(k) ** 2
+    scene_seed, _ = seed_seq.spawn(2)
+    try:
+        scene3 = sample_targets(
+            cfg.bs,
+            (cfg.irs[0],),
+            k,
+            cfg.target_radius_m,
+            scene_seed,
+            cell_m=cfg.ofdm.cell_m,
+        )
+    except SceneSamplingError:
+        return harness._failed_outcome(trial, k, None, n_unfiltered, start, "sampling")
+
+    cell = cfg.ofdm.cell_m
+    ranges = [
+        tuple(sorted(quantize_range(2.0 * distance(a, t), cell) for t in scene3.targets))
+        for a in anchors
+    ]
+    truth = _baseline_truth(scene3, anchors, ranges, cell)
+    if truth is None:
+        return harness._failed_outcome(trial, k, scene3, n_unfiltered, start, "no_truth")
+
+    w = cfg.weights
+    cache: dict[BaselineTriple, LocEstimate] = {}
+
+    def solve(t: BaselineTriple) -> LocEstimate:
+        if t not in cache:
+            radii = (
+                0.5 * ranges[0][t.i1],
+                0.5 * ranges[1][t.i2],
+                0.5 * ranges[2][t.i3],
+            )
+            triples = [
+                (anchors[a], radii[a], w.sigma_direct) for a in range(3)
+            ]
+            cache[t] = fit_position(triples, cfg.gn, _baseline_init(anchors, radii))
+        return cache[t]
+
+    if oracle:
+        estimates = tuple(solve(t) for t in truth)
+        best = truth
+        survivors = 1
+        fallback = False
+    else:
+        bad: set[BaselineTriple] = set()
+        best = None
+        best_total = math.inf
+        survivors = 0
+        partial: list[BaselineTriple] = []
+        free2 = [True] * k
+        free3 = [True] * k
+
+        def recurse(level: int, total: float, enforce: bool) -> None:
+            nonlocal best, best_total, survivors
+            if level == k:
+                if enforce:
+                    survivors += 1
+                if total < best_total:
+                    best_total = total
+                    best = tuple(partial)
+                return
+            for j2 in range(k):
+                if not free2[j2]:
+                    continue
+                for j3 in range(k):
+                    if not free3[j3]:
+                        continue
+                    t = BaselineTriple(i1=level, i2=j2, i3=j3)
+                    if enforce and t in bad:
+                        continue
+                    est = solve(t)
+                    if enforce and est.residual >= cfg.gn.residual_threshold:
+                        bad.add(t)
+                        continue
+                    partial.append(t)
+                    free2[j2] = free3[j3] = False
+                    recurse(level + 1, total + est.residual, enforce)
+                    free2[j2] = free3[j3] = True
+                    partial.pop()
+
+        recurse(0, 0.0, True)
+        fallback = best is None
+        if fallback:
+            recurse(0, 0.0, False)
+        estimates = tuple(solve(t) for t in best)
+
+    truths = _true_positions_by_rank(scene3)
+    ests = tuple(e.position for e in estimates)
+    errors = tuple(distance(p, t) for p, t in zip(ests, truths))
+    correct = all(
+        ranges[0][a.i1] == ranges[0][b.i1]
+        and ranges[1][a.i2] == ranges[1][b.i2]
+        and ranges[2][a.i3] == ranges[2][b.i3]
+        for a, b in zip(best, truth)
+    )
+    return TrialOutcome(
+        trial=trial,
+        k=k,
+        detection_failed=False,
+        failure=None,
+        association_correct=correct,
+        errors_m=errors,
+        true_positions=truths,
+        est_positions=ests,
+        residuals=tuple(e.residual for e in estimates),
+        chosen=None,
+        n_unfiltered=n_unfiltered,
+        n_feasible=n_unfiltered,
+        n_survivors=survivors,
+        solver_calls=len(cache),
+        fallback=fallback,
+        wall_time_s=time.perf_counter() - start,
+    )
+
+
+def _without_wall_time(outcome):
+    return replace(outcome, wall_time_s=0.0)
+
+
 class TestBaseline:
     def test_smoke_and_limits(self):
         cfg = default_config(1, k=2, trials=5, seed=2)
@@ -418,6 +598,22 @@ class TestBaseline:
         assert error_probability(outcomes, 0.8) <= 1.0
         with pytest.raises(ValueError):
             baseline_3bs(default_config(1, k=8, trials=1))
+
+    @pytest.mark.parametrize(
+        "k, oracle, gn",
+        [(k, oracle, GnConfig()) for k in (2, 3, 4, 5) for oracle in (False, True)]
+        # a threshold no fit meets forces the unpruned second pass
+        + [(k, False, GnConfig(residual_threshold=1e-12)) for k in (2, 3, 4)],
+    )
+    def test_matches_reference(self, k, oracle, gn):
+        cfg = default_config(1, k=k, trials=20, seed=2, gn=gn)
+        outcomes = baseline_3bs(cfg, oracle=oracle)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+        for i, s in enumerate(seeds):
+            ref = reference_baseline_trial(cfg, i, s, oracle=oracle)
+            assert _without_wall_time(outcomes[i]) == _without_wall_time(ref)
+        fallbacks = sum(o.fallback for o in outcomes)
+        assert fallbacks == (cfg.trials if gn.residual_threshold < 1.0 else 0)
 
 
 class TestUniqueness:
