@@ -271,55 +271,57 @@ def brute_force_solutions(k: int, r: int):
                     )
 
 
+def rank_order(scene: Scene) -> list[int]:
+    """Target indices by distance to BS 1: the labeling every stage shares."""
+    return sorted(
+        range(scene.n_targets), key=lambda i: distance(scene.bs[0], scene.targets[i])
+    )
+
+
+def claim_slot(values, used: set[int], value: float) -> int | None:
+    """First index of ``values`` not in ``used`` within 1e-9 of ``value``.
+
+    The index is added to ``used``; None when no free slot holds the value.
+    """
+    for idx, v in enumerate(values):
+        if idx not in used and abs(v - value) <= 1e-9:
+            used.add(idx)
+            return idx
+    return None
+
+
 def ground_truth_solution(
     scene: Scene, sets: RangeSets, cell_m: float | None = None
 ) -> tuple[AssociationTuple, ...] | None:
     """The correct solution for a scene whose range sets are given.
 
-    Targets are ranked by distance to BS 1, matching the labeling the
-    enumeration uses.  Each target's true (possibly quantized) ranges are
-    located in the lists by value; equal values are assigned to distinct
-    slots in rank order, which is the unique answer up to swaps of identical
-    entries.  Returns None when some true range is missing from a list,
-    which means detection failed upstream.
+    Targets are ranked by distance to BS 1 (``rank_order``), matching the
+    labeling the enumeration uses.  Each target's true (possibly quantized)
+    ranges are located in the lists by value; equal values are assigned to
+    distinct slots in rank order, which is the unique answer up to swaps of
+    identical entries.  Returns None when some true range is missing from a
+    list, which means detection failed upstream.
     """
-    k = scene.n_targets
-    if not sets.balanced(k):
+    if not sets.balanced(scene.n_targets):
         return None
-    order = sorted(range(k), key=lambda i: distance(scene.bs[0], scene.targets[i]))
-    used = {("direct", 0): set(), ("direct", 1): set(), ("via", 0): set(), ("via", 1): set()}
-
-    def claim(kind: str, m: int, value: float) -> int | None:
-        values = sets.direct[m] if kind == "direct" else sets.via_irs[m]
-        for idx, v in enumerate(values):
-            if idx not in used[(kind, m)] and abs(v - value) <= 1e-9:
-                used[(kind, m)].add(idx)
-                return idx
-        return None
-
+    lists = (*sets.direct, *sets.via_irs)
+    used = [set() for _ in lists]
     solution = []
-    for rank, i in enumerate(order):
+    for rank, i in enumerate(rank_order(scene)):
         t = scene.targets[i]
         g = scene.true_irs[i]
-        picks = {}
-        for m in (0, 1):
-            d_bt = distance(scene.bs[m], t)
-            d_total = d_bt + distance(scene.irs[g], t) + distance(scene.bs[m], scene.irs[g])
-            picks[("direct", m)] = claim("direct", m, quantize_range(2.0 * d_bt, cell_m))
-            picks[("via", m)] = claim("via", m, quantize_range(d_total, cell_m))
-        if any(v is None for v in picks.values()):
+        d_bt = [distance(bs_pos, t) for bs_pos in scene.bs]
+        wanted = [2.0 * d for d in d_bt] + [
+            d + distance(scene.irs[g], t) + distance(bs_pos, scene.irs[g])
+            for d, bs_pos in zip(d_bt, scene.bs)
+        ]
+        picks = [
+            claim_slot(values, u, quantize_range(v, cell_m))
+            for values, u, v in zip(lists, used, wanted)
+        ]
+        if None in picks or picks[0] != rank:
             return None
-        if picks[("direct", 0)] != rank:
-            return None
-        solution.append(
-            AssociationTuple(
-                direct1=rank,
-                direct2=picks[("direct", 1)],
-                via1=picks[("via", 0)],
-                via2=picks[("via", 1)],
-                irs=g,
-            )
-        )
+        solution.append(AssociationTuple(*picks, irs=g))
     return tuple(solution)
 
 

@@ -4,9 +4,12 @@ One trial samples a scene, produces range sets (either straight from
 quantized geometry, the default, or through the full waveform and sparse
 recovery path), runs association plus localization, and scores the result
 against ground truth.  A target counts as an error when its estimate lands
-more than ``error_radius_m`` from the truth; trials whose range lists do not
-contain one entry per target are detection failures and score every target
-as an error.
+more than ``error_radius_m`` from the truth.  A trial that stops before
+association scores every target as an error and names its ``failure``:
+``sampling`` (targets could not be placed), ``delay_window`` (an echo fell
+outside the modeled delay window), ``unbalanced`` (range recovery did not
+yield one entry per target in every list) or ``no_truth`` (some true range
+is missing from the lists, so the trial cannot be scored).
 
 Determinism: every experiment spawns one child seed per trial from a master
 seed, so runs are reproducible and different trial counts share prefixes.
@@ -51,10 +54,14 @@ from .ranging import (
     weighted_lasso_solve,
 )
 from .association import (
+    AssociationTuple,
+    circle_intersections,
+    claim_slot,
     closest_irs_rule,
     count_unfiltered_solutions,
     enumerate_feasible,
     ground_truth_solution,
+    rank_order,
     solutions_equivalent,
 )
 from .locate import (
@@ -68,7 +75,6 @@ from .locate import (
     localize,
     select_association,
 )
-from .association import AssociationTuple, circle_intersections
 
 DEFAULT_BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
 DEFAULT_IRS_LAYOUTS = {
@@ -209,33 +215,68 @@ class TrialOutcome:
 FAILURE_REASONS = ("sampling", "delay_window", "unbalanced", "no_truth")
 
 
-def _failed_outcome(trial, k, scene, n_unfiltered, start, failure) -> TrialOutcome:
-    truths = _true_positions_by_rank(scene) if scene is not None else tuple()
+def _scored_outcome(
+    trial, k, scene, n_unfiltered, start, result: LocalizationResult, correct, chosen,
+    failure=None,
+) -> TrialOutcome:
+    """``result`` scored against the scene's targets in rank order.
+
+    Without a solution every target scores as an error.  ``failure`` is set
+    when the trial stopped before association; ``scene`` is None when it
+    stopped before a scene existed.
+    """
+    truths = _true_positions_by_rank(scene) if scene is not None else ()
+    if result.solution is None:
+        ests = (None,) * k
+        errors = residuals = (math.inf,) * k
+    else:
+        ests = tuple(e.position for e in result.estimates)
+        errors = tuple(distance(p, t) for p, t in zip(ests, truths))
+        residuals = tuple(e.residual for e in result.estimates)
     return TrialOutcome(
         trial=trial,
         k=k,
-        detection_failed=True,
+        detection_failed=failure is not None,
         failure=failure,
-        association_correct=False,
-        errors_m=tuple(math.inf for _ in range(k)),
+        association_correct=correct,
+        errors_m=errors,
         true_positions=truths,
-        est_positions=tuple(None for _ in range(k)),
-        residuals=tuple(math.inf for _ in range(k)),
-        chosen=None,
+        est_positions=ests,
+        residuals=residuals,
+        chosen=chosen,
         n_unfiltered=n_unfiltered,
-        n_feasible=0,
-        n_survivors=0,
-        solver_calls=0,
-        fallback=False,
+        n_feasible=result.stats.n_solutions,
+        n_survivors=result.stats.n_survivors,
+        solver_calls=result.stats.solver_calls,
+        fallback=result.stats.fallback,
         wall_time_s=time.perf_counter() - start,
     )
 
 
-def _true_positions_by_rank(scene: Scene) -> tuple[Point2D, ...]:
-    order = sorted(
-        range(scene.n_targets), key=lambda i: distance(scene.bs[0], scene.targets[i])
+_NO_RESULT = LocalizationResult(
+    solution=None, estimates=(), stats=SolveStats(0, 0, 0, fallback=False)
+)
+
+
+def _failed_outcome(trial, k, scene, n_unfiltered, start, failure) -> TrialOutcome:
+    return _scored_outcome(
+        trial, k, scene, n_unfiltered, start, _NO_RESULT, False, None, failure
     )
-    return tuple(scene.targets[i] for i in order)
+
+
+def _oracle_result(truth, fit, n_solutions: int) -> LocalizationResult:
+    """Every target fit from its ground-truth pick, selection bypassed."""
+    return LocalizationResult(
+        solution=truth,
+        estimates=tuple(fit(t) for t in truth),
+        stats=SolveStats(
+            n_solutions, n_survivors=1, solver_calls=len(truth), fallback=False
+        ),
+    )
+
+
+def _true_positions_by_rank(scene: Scene) -> tuple[Point2D, ...]:
+    return tuple(scene.targets[i] for i in rank_order(scene))
 
 
 def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSets:
@@ -315,50 +356,16 @@ def run_trial(
         return _failed_outcome(trial, k, scene, n_unfiltered, start, "no_truth")
 
     if oracle:
-        estimates = tuple(
-            gauss_newton_solve(sets, t, scene, cfg.weights, cfg.gn) for t in truth
-        )
-        result = LocalizationResult(
-            solution=truth,
-            estimates=estimates,
-            stats=SolveStats(
-                n_solutions=1,
-                n_survivors=1,
-                solver_calls=len(truth),
-                fallback=False,
-            ),
+        result = _oracle_result(
+            truth, lambda t: gauss_newton_solve(sets, t, scene, cfg.weights, cfg.gn), 1
         )
     else:
         result = localize(sets, scene, cfg.tau_m, cfg.weights, cfg.gn)
-
-    truths = _true_positions_by_rank(scene)
-    if result.solution is None:
-        errors = tuple(math.inf for _ in range(k))
-        ests = tuple(None for _ in range(k))
-        residuals = tuple(math.inf for _ in range(k))
-        correct = False
-    else:
-        ests = tuple(e.position for e in result.estimates)
-        errors = tuple(distance(p, t) for p, t in zip(ests, truths))
-        residuals = tuple(e.residual for e in result.estimates)
-        correct = solutions_equivalent(sets, result.solution, truth)
-    return TrialOutcome(
-        trial=trial,
-        k=k,
-        detection_failed=False,
-        failure=None,
-        association_correct=correct,
-        errors_m=errors,
-        true_positions=truths,
-        est_positions=ests,
-        residuals=residuals,
-        chosen=result.solution,
-        n_unfiltered=n_unfiltered,
-        n_feasible=result.stats.n_solutions,
-        n_survivors=result.stats.n_survivors,
-        solver_calls=result.stats.solver_calls,
-        fallback=result.stats.fallback,
-        wall_time_s=time.perf_counter() - start,
+    correct = result.solution is not None and solutions_equivalent(
+        sets, result.solution, truth
+    )
+    return _scored_outcome(
+        trial, k, scene, n_unfiltered, start, result, correct, result.solution
     )
 
 
@@ -468,35 +475,17 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
 # three-active-BS baseline
 
 
-@dataclass(frozen=True)
-class BaselineTriple:
-    """Index pick (rank-pinned anchor 1, anchors 2 and 3) for one target."""
-
-    i1: int
-    i2: int
-    i3: int
-
-
 def _baseline_truth(scene3, anchors, ranges, cell_m):
-    k = scene3.n_targets
-    order = sorted(range(k), key=lambda i: distance(anchors[0], scene3.targets[i]))
+    """Per target in rank order, its (anchor 1, 2, 3) slots; None when missing."""
     used = [set(), set(), set()]
-
-    def claim(a: int, value: float) -> int | None:
-        q = quantize_range(value, cell_m)
-        for idx, v in enumerate(ranges[a]):
-            if idx not in used[a] and abs(v - q) <= 1e-9:
-                used[a].add(idx)
-                return idx
-        return None
-
     triples = []
-    for rank, i in enumerate(order):
+    for rank, i in enumerate(rank_order(scene3)):
         t = scene3.targets[i]
-        picks = [claim(a, 2.0 * distance(anchors[a], t)) for a in range(3)]
-        if any(p is None for p in picks) or picks[0] != rank:
+        wanted = (quantize_range(2.0 * distance(a, t), cell_m) for a in anchors)
+        picks = tuple(map(claim_slot, ranges, used, wanted))
+        if None in picks or picks[0] != rank:
             return None
-        triples.append(BaselineTriple(i1=picks[0], i2=picks[1], i3=picks[2]))
+        triples.append(picks)
     return tuple(triples)
 
 
@@ -506,6 +495,70 @@ def _baseline_init(anchors, radii):
         return anchors[2]
     fit = [abs(distance(anchors[2], p) - radii[2]) for p in points]
     return points[int(np.argmin(fit))]
+
+
+def _baseline_select(k: int, fit, threshold: float) -> LocalizationResult:
+    """Minimum-total-residual assignment of index triples, by exhaustive DFS.
+
+    Level ``i`` pins anchor 1's slot to ``i`` and branches over the free
+    slots of anchors 2 and 3.  Each triple is fit once; one whose residual
+    reaches ``threshold`` is marked bad and cut.  The first strict minimum
+    wins.  When nothing survives, the search repeats without the threshold.
+    """
+    fits: dict[tuple[int, int, int], LocEstimate] = {}
+
+    def solve(t) -> LocEstimate:
+        if t not in fits:
+            fits[t] = fit(t)
+        return fits[t]
+
+    bad: set[tuple[int, int, int]] = set()
+    best = None
+    best_total = math.inf
+    survivors = 0
+    partial: list[tuple[int, int, int]] = []
+    free2 = [True] * k
+    free3 = [True] * k
+
+    def recurse(level: int, total: float, enforce: bool) -> None:
+        nonlocal best, best_total, survivors
+        if level == k:
+            if enforce:
+                survivors += 1
+            if total < best_total:
+                best_total = total
+                best = tuple(partial)
+            return
+        for j2 in range(k):
+            if not free2[j2]:
+                continue
+            for j3 in range(k):
+                if not free3[j3]:
+                    continue
+                t = (level, j2, j3)
+                if enforce and t in bad:
+                    continue
+                est = solve(t)
+                if enforce and est.residual >= threshold:
+                    bad.add(t)
+                    continue
+                partial.append(t)
+                free2[j2] = free3[j3] = False
+                recurse(level + 1, total + est.residual, enforce)
+                free2[j2] = free3[j3] = True
+                partial.pop()
+
+    recurse(0, 0.0, True)
+    fallback = best is None
+    if fallback:
+        recurse(0, 0.0, False)
+    return LocalizationResult(
+        solution=best,
+        estimates=tuple(solve(t) for t in best),
+        stats=SolveStats(
+            math.factorial(k) ** 2, survivors, solver_calls=len(fits), fallback=fallback
+        ),
+    )
 
 
 def run_baseline_trial(
@@ -518,7 +571,7 @@ def run_baseline_trial(
     lean on: it scans index triples exhaustively (first anchor pinned by
     target labeling), pruning triples whose trilateration residual fails the
     same threshold as the main scheme, and keeps the minimum-total-residual
-    assignment.
+    assignment.  Labeling, truth matching and scoring are ``run_trial``'s.
     """
     start = time.perf_counter()
     k = cfg.k
@@ -546,97 +599,24 @@ def run_baseline_trial(
     if truth is None:
         return _failed_outcome(trial, k, scene3, n_unfiltered, start, "no_truth")
 
-    w = cfg.weights
-    cache: dict[BaselineTriple, LocEstimate] = {}
+    sigma = cfg.weights.sigma_direct
 
-    def solve(t: BaselineTriple) -> LocEstimate:
-        if t not in cache:
-            radii = (
-                0.5 * ranges[0][t.i1],
-                0.5 * ranges[1][t.i2],
-                0.5 * ranges[2][t.i3],
-            )
-            triples = [
-                (anchors[a], radii[a], w.sigma_direct) for a in range(3)
-            ]
-            cache[t] = fit_position(triples, cfg.gn, _baseline_init(anchors, radii))
-        return cache[t]
+    def fit(t) -> LocEstimate:
+        radii = tuple(0.5 * ranges[a][t[a]] for a in range(3))
+        triples = [(anchors[a], radii[a], sigma) for a in range(3)]
+        return fit_position(triples, cfg.gn, _baseline_init(anchors, radii))
 
     if oracle:
-        estimates = tuple(solve(t) for t in truth)
-        best = truth
-        survivors = 1
-        fallback = False
+        result = _oracle_result(truth, fit, n_unfiltered)
     else:
-        bad: set[BaselineTriple] = set()
-        best = None
-        best_total = math.inf
-        survivors = 0
-        partial: list[BaselineTriple] = []
-        free2 = [True] * k
-        free3 = [True] * k
-
-        def recurse(level: int, total: float, enforce: bool) -> None:
-            nonlocal best, best_total, survivors
-            if level == k:
-                if enforce:
-                    survivors += 1
-                if total < best_total:
-                    best_total = total
-                    best = tuple(partial)
-                return
-            for j2 in range(k):
-                if not free2[j2]:
-                    continue
-                for j3 in range(k):
-                    if not free3[j3]:
-                        continue
-                    t = BaselineTriple(i1=level, i2=j2, i3=j3)
-                    if enforce and t in bad:
-                        continue
-                    est = solve(t)
-                    if enforce and est.residual >= cfg.gn.residual_threshold:
-                        bad.add(t)
-                        continue
-                    partial.append(t)
-                    free2[j2] = free3[j3] = False
-                    recurse(level + 1, total + est.residual, enforce)
-                    free2[j2] = free3[j3] = True
-                    partial.pop()
-
-        recurse(0, 0.0, True)
-        fallback = best is None
-        if fallback:
-            recurse(0, 0.0, False)
-        estimates = tuple(solve(t) for t in best)
-
-    truths = _true_positions_by_rank(scene3)
-    ests = tuple(e.position for e in estimates)
-    errors = tuple(distance(p, t) for p, t in zip(ests, truths))
+        result = _baseline_select(k, fit, cfg.gn.residual_threshold)
+    # target-wise equal range values, as solutions_equivalent compares them
     correct = all(
-        ranges[0][a.i1] == ranges[0][b.i1]
-        and ranges[1][a.i2] == ranges[1][b.i2]
-        and ranges[2][a.i3] == ranges[2][b.i3]
-        for a, b in zip(best, truth)
+        ranges[a][p[a]] == ranges[a][q[a]]
+        for p, q in zip(result.solution, truth)
+        for a in range(3)
     )
-    return TrialOutcome(
-        trial=trial,
-        k=k,
-        detection_failed=False,
-        failure=None,
-        association_correct=correct,
-        errors_m=errors,
-        true_positions=truths,
-        est_positions=ests,
-        residuals=tuple(e.residual for e in estimates),
-        chosen=None,
-        n_unfiltered=n_unfiltered,
-        n_feasible=n_unfiltered,
-        n_survivors=survivors,
-        solver_calls=len(cache),
-        fallback=fallback,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return _scored_outcome(trial, k, scene3, n_unfiltered, start, result, correct, None)
 
 
 def baseline_3bs(cfg: ExperimentConfig, oracle: bool = False) -> list[TrialOutcome]:

@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Half the round-trip range grid of the default 400 MHz waveform; used only to
-# keep sampled targets in distinct delay cells so range lists have K entries.
+# The round-trip range cell c0 / B of the default 400 MHz waveform (the same
+# value as ``OfdmConfig().cell_m``); used only to keep sampled targets in
+# distinct delay cells so range lists have K entries.
 DEFAULT_CELL_M = 0.75
 
 

@@ -131,10 +131,8 @@ class SubcarrierPlan:
         return (self.bs1, self.bs2)[m]
 
 
-def make_plan(n_subcarriers: int, mode: str = "interleaved") -> SubcarrierPlan:
+def make_plan(n_subcarriers: int) -> SubcarrierPlan:
     """Assign odd 1-based subcarriers to BS 1 and even ones to BS 2."""
-    if mode != "interleaved":
-        raise ValueError(f"unknown plan mode: {mode!r}")
     if n_subcarriers < 2 or n_subcarriers % 2 != 0:
         raise ValueError("n_subcarriers must be even and >= 2")
     return SubcarrierPlan(
@@ -289,20 +287,17 @@ def ofdm_demodulate(samples: np.ndarray, cp_len: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _steering_cached(subcarriers: tuple[int, ...], n_fft: int, n_taps: int):
+def steering_matrix(subcarriers: tuple[int, ...], n_fft: int, n_taps: int) -> np.ndarray:
+    """Delay steering matrix: entry (n, l) = exp(-2j*pi*(c_n - 1)*l / N).
+
+    Cached per comb since every trial of an experiment shares it, so the
+    comb must be a hashable tuple.  The returned array is read-only.
+    """
     bins = np.asarray(subcarriers, dtype=float) - 1.0
     grid = np.arange(n_taps, dtype=float)
     g = np.exp(-2j * math.pi * np.outer(bins, grid) / n_fft)
     g.setflags(write=False)
     return g
-
-def steering_matrix(subcarriers, n_fft: int, n_taps: int) -> np.ndarray:
-    """Delay steering matrix: entry (n, l) = exp(-2j*pi*(c_n - 1)*l / N).
-
-    Cached per comb since every trial of an experiment shares it.  The
-    returned array is read-only.
-    """
-    return _steering_cached(tuple(int(c) for c in subcarriers), n_fft, n_taps)
 
 
 def make_pilots(plan: SubcarrierPlan, seed) -> tuple[np.ndarray, np.ndarray]:

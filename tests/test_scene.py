@@ -16,6 +16,7 @@ from irsloc.scene import (
     nearest_irs,
     sample_targets,
 )
+from irsloc.waveform import OfdmConfig
 
 BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
 
@@ -115,6 +116,10 @@ class TestMirror:
 
 
 class TestSampling:
+    def test_default_cell_is_the_waveform_range_cell(self):
+        # scene cannot import waveform, so the two constants stay separate
+        assert DEFAULT_CELL_M == OfdmConfig().cell_m
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             sample_targets(BS, ((0.0, 40.0),), 0, 50.0, seed=1)

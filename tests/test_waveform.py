@@ -90,8 +90,6 @@ class TestPlan:
         plan = make_plan(2)
         assert plan.bs1 == (1,) and plan.bs2 == (2,)
         with pytest.raises(ValueError):
-            make_plan(6, mode="blocked")
-        with pytest.raises(ValueError):
             make_plan(5)
 
 
