@@ -16,6 +16,7 @@ seed, so runs are reproducible and different trial counts share prefixes.
 """
 
 import csv
+import functools
 import json
 import math
 import time
@@ -505,13 +506,7 @@ def _baseline_select(k: int, fit, threshold: float) -> LocalizationResult:
     reaches ``threshold`` is marked bad and cut.  The first strict minimum
     wins.  When nothing survives, the search repeats without the threshold.
     """
-    fits: dict[tuple[int, int, int], LocEstimate] = {}
-
-    def solve(t) -> LocEstimate:
-        if t not in fits:
-            fits[t] = fit(t)
-        return fits[t]
-
+    solve = functools.cache(fit)
     bad: set[tuple[int, int, int]] = set()
     best = None
     best_total = math.inf
@@ -556,7 +551,7 @@ def _baseline_select(k: int, fit, threshold: float) -> LocalizationResult:
         solution=best,
         estimates=tuple(solve(t) for t in best),
         stats=SolveStats(
-            math.factorial(k) ** 2, survivors, solver_calls=len(fits), fallback=fallback
+            math.factorial(k) ** 2, survivors, solve.cache_info().currsize, fallback
         ),
     )
 
