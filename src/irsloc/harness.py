@@ -16,7 +16,6 @@ seed, so runs are reproducible and different trial counts share prefixes.
 """
 
 import csv
-import functools
 import json
 import math
 import time
@@ -73,6 +72,7 @@ from .locate import (
     SolveStats,
     fit_position,
     gauss_newton_solve,
+    lexmin_select,
     localize,
     select_association,
 )
@@ -498,62 +498,13 @@ def _baseline_init(anchors, radii):
     return points[int(np.argmin(fit))]
 
 
-def _baseline_select(k: int, fit, threshold: float) -> LocalizationResult:
-    """Minimum-total-residual assignment of index triples, by exhaustive DFS.
-
-    Level ``i`` pins anchor 1's slot to ``i`` and branches over the free
-    slots of anchors 2 and 3.  Each triple is fit once; one whose residual
-    reaches ``threshold`` is marked bad and cut.  The first strict minimum
-    wins.  When nothing survives, the search repeats without the threshold.
-    """
-    solve = functools.cache(fit)
-    bad: set[tuple[int, int, int]] = set()
-    best = None
-    best_total = math.inf
-    survivors = 0
-    partial: list[tuple[int, int, int]] = []
-    free2 = [True] * k
-    free3 = [True] * k
-
-    def recurse(level: int, total: float, enforce: bool) -> None:
-        nonlocal best, best_total, survivors
-        if level == k:
-            if enforce:
-                survivors += 1
-            if total < best_total:
-                best_total = total
-                best = tuple(partial)
-            return
-        for j2 in range(k):
-            if not free2[j2]:
-                continue
-            for j3 in range(k):
-                if not free3[j3]:
-                    continue
-                t = (level, j2, j3)
-                if enforce and t in bad:
-                    continue
-                est = solve(t)
-                if enforce and est.residual >= threshold:
-                    bad.add(t)
-                    continue
-                partial.append(t)
-                free2[j2] = free3[j3] = False
-                recurse(level + 1, total + est.residual, enforce)
-                free2[j2] = free3[j3] = True
-                partial.pop()
-
-    recurse(0, 0.0, True)
-    fallback = best is None
-    if fallback:
-        recurse(0, 0.0, False)
-    return LocalizationResult(
-        solution=best,
-        estimates=tuple(solve(t) for t in best),
-        stats=SolveStats(
-            math.factorial(k) ** 2, survivors, solve.cache_info().currsize, fallback
-        ),
-    )
+def _free_slot_children(node):
+    """Triples for the target of rank ``level``: each free slot of anchor 2, then 3."""
+    level, free2, free3 = node
+    for a, j2 in enumerate(free2):
+        rest2 = free2[:a] + free2[a + 1 :]
+        for b, j3 in enumerate(free3):
+            yield (level, j2, j3), (level + 1, rest2, free3[:b] + free3[b + 1 :])
 
 
 def run_baseline_trial(
@@ -563,10 +514,13 @@ def run_baseline_trial(
 
     The first IRS position hosts a third active BS that measures its own
     direct round-trip ranges, so association has no consistency filter to
-    lean on: it scans index triples exhaustively (first anchor pinned by
-    target labeling), pruning triples whose trilateration residual fails the
-    same threshold as the main scheme, and keeps the minimum-total-residual
-    assignment.  Labeling, truth matching and scoring are ``run_trial``'s.
+    lean on.  ``lexmin_select``, the main scheme's search, walks every
+    assignment of index triples: level ``i`` pins anchor 1's slot to target
+    rank ``i`` and branches over the free slots of anchors 2 and 3.  A triple
+    whose trilateration residual fails the main scheme's threshold cuts its
+    branch, and the lexicographically first minimum-total-residual
+    assignment wins.  Labeling, truth matching and scoring are
+    ``run_trial``'s.
     """
     start = time.perf_counter()
     k = cfg.k
@@ -604,7 +558,15 @@ def run_baseline_trial(
     if oracle:
         result = _oracle_result(truth, fit, n_unfiltered)
     else:
-        result = _baseline_select(k, fit, cfg.gn.residual_threshold)
+        slots = tuple(range(k))
+        result = lexmin_select(
+            k,
+            (0, slots, slots),
+            _free_slot_children,
+            fit,
+            cfg.gn.residual_threshold,
+            n_unfiltered,
+        )
     # target-wise equal range values, as solutions_equivalent compares them
     correct = all(
         ranges[a][p[a]] == ranges[a][q[a]]

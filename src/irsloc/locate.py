@@ -10,15 +10,18 @@ ranges and sigmas become arrays once per fit, so each evaluation gives all
 residuals and the Jacobian in one array expression, and each damped 2x2
 step ``(JᵀJ + λI) s = -Jᵀr`` is solved in closed form on Python floats.
 
-Solution selection evaluates every enumerated solution, fitting each
-distinct tuple once.  Any tuple whose fit residual exceeds a threshold is
-marked bad and every solution containing it is discarded without further
-solves; the surviving solution with the smallest total residual wins, ties
-broken lexicographically.  If pruning eliminates everything the selection
-falls back to the unpruned minimum so a localization answer always exists
-whenever the feasible set is nonempty.
+Solution selection is one lexicographic depth-first search,
+``lexmin_select``, shared with the three-active-BS baseline.  It extends a
+partial solution one target at a time, fits each distinct tuple it reaches
+once, and cuts the branch below any tuple whose fit residual reaches a
+threshold, so a solution holding such a tuple is never completed.  The
+surviving solution with the smallest total residual wins, ties broken
+lexicographically.  If pruning eliminates everything the search repeats
+without the threshold, so a localization answer always exists whenever the
+feasible set is nonempty.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -250,6 +253,55 @@ class LocalizationResult:
     stats: SolveStats
 
 
+def lexmin_select(
+    k: int, root, children, fit, threshold: float, n_solutions: int
+) -> LocalizationResult:
+    """Lexicographically first minimum-total-residual path, by depth-first search.
+
+    The tree is ``k`` levels deep; ``children(node)`` yields ``(tuple,
+    child)`` pairs in lexicographic order.  ``fit`` fits one tuple and runs
+    once per distinct tuple reached.  A tuple whose residual reaches
+    ``threshold`` cuts its branch.  Totals are summed left to right from
+    0.0 and only a strictly smaller total replaces the best, so the first
+    minimum in lexicographic order wins.  When no path survives and the
+    tree has any of its ``n_solutions`` paths, the search repeats without
+    the threshold.
+    """
+    solve = functools.cache(fit)
+    best = None
+    best_total = math.inf
+    survivors = 0
+    partial = []
+
+    def search(node, total: float, enforce: bool) -> None:
+        nonlocal best, best_total, survivors
+        if len(partial) == k:
+            if enforce:
+                survivors += 1
+            if total < best_total:
+                best_total = total
+                best = tuple(partial)
+            return
+        for t, child in children(node):
+            residual = solve(t).residual
+            if enforce and residual >= threshold:
+                continue
+            partial.append(t)
+            search(child, total + residual, enforce)
+            partial.pop()
+
+    search(root, 0.0, True)
+    fallback = best is None and n_solutions > 0
+    if fallback:
+        search(root, 0.0, False)
+    stats = SolveStats(n_solutions, survivors, solve.cache_info().currsize, fallback)
+    if best is None:
+        return LocalizationResult(solution=None, estimates=(), stats=stats)
+    return LocalizationResult(
+        solution=best, estimates=tuple(solve(t) for t in best), stats=stats
+    )
+
+
 def select_association(
     feasible: FeasibleSet,
     sets: RangeSets,
@@ -259,62 +311,35 @@ def select_association(
 ) -> LocalizationResult:
     """Pick the minimum-total-residual solution with threshold pruning.
 
-    Solutions are scanned in lexicographic order.  Each distinct tuple is
-    fit once.  A tuple whose residual reaches ``cfg.residual_threshold`` is
-    marked bad once and removes every solution containing it.  Survivors
-    compete on total residual; the first minimum wins, making ties
-    deterministic.  When nothing survives, the scan repeats without the
-    threshold so a nonempty feasible set always yields an answer.
+    ``lexmin_select`` walks the sorted solutions as a prefix tree: a node at
+    level ``L`` is a run of consecutive solutions sharing their first ``L``
+    tuples, and its children are the runs that also share tuple ``L``.
+    Each tuple reached is fit once, and one whose residual reaches
+    ``cfg.residual_threshold`` cuts every solution below it.  Survivors
+    compete on total residual and the lexicographically first minimum wins.
+    When nothing survives, the search repeats without the threshold so a
+    nonempty feasible set always yields an answer.
     """
-    fits: dict[AssociationTuple, LocEstimate] = {}
-
-    def solve(t: AssociationTuple) -> LocEstimate:
-        if t not in fits:
-            fits[t] = gauss_newton_solve(sets, t, scene, w, cfg)
-        return fits[t]
-
     ordered = sorted(feasible.solutions)
-    bad: set[AssociationTuple] = set()
-    best = None
-    best_total = math.inf
-    survivors = 0
-    for sol in ordered:
-        if any(t in bad for t in sol):
-            continue
-        total = 0.0
-        ok = True
-        for t in sol:
-            est = solve(t)
-            if est.residual >= cfg.residual_threshold:
-                bad.add(t)
-                ok = False
-                break
-            total += est.residual
-        if not ok:
-            continue
-        survivors += 1
-        if total < best_total:
-            best_total = total
-            best = sol
-    fallback = False
-    if best is None and ordered:
-        # every solution contained a failed tuple; compete without pruning
-        fallback = True
-        for sol in ordered:
-            total = sum(solve(t).residual for t in sol)
-            if total < best_total:
-                best_total = total
-                best = sol
-    stats = SolveStats(
-        n_solutions=len(ordered),
-        n_survivors=survivors,
-        solver_calls=len(fits),
-        fallback=fallback,
+
+    def children(node):
+        level, lo, hi = node
+        while lo < hi:
+            t = ordered[lo][level]
+            end = lo + 1
+            while end < hi and ordered[end][level] == t:
+                end += 1
+            yield t, (level + 1, lo, end)
+            lo = end
+
+    return lexmin_select(
+        len(sets.direct[0]),
+        (0, 0, len(ordered)),
+        children,
+        lambda t: gauss_newton_solve(sets, t, scene, w, cfg),
+        cfg.residual_threshold,
+        len(ordered),
     )
-    if best is None:
-        return LocalizationResult(solution=None, estimates=(), stats=stats)
-    estimates = tuple(solve(t) for t in best)
-    return LocalizationResult(solution=best, estimates=estimates, stats=stats)
 
 
 def localize(

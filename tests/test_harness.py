@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsloc import harness
 from irsloc.association import circle_intersections, count_unfiltered_solutions
@@ -617,6 +619,18 @@ class TestBaseline:
             assert _without_wall_time(outcomes[i]) == _without_wall_time(ref)
         # stock seeds never reach the fallback pass; the forced cases always do
         assert [o.fallback for o in outcomes] == [gn == FORCED_FALLBACK] * cfg.trials
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from((1e-12, 1.0, 16.0)),
+    )
+    def test_trial_matches_reference_on_any_seed(self, k, seed, threshold):
+        cfg = default_config(1, k=k, trials=1, gn=GnConfig(residual_threshold=threshold))
+        outcome = harness.run_baseline_trial(cfg, 0, np.random.SeedSequence(seed))
+        ref = reference_baseline_trial(cfg, 0, np.random.SeedSequence(seed))
+        assert _without_wall_time(outcome) == _without_wall_time(ref)
 
 
 class TestUniqueness:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsloc import locate
@@ -105,12 +105,12 @@ def reference_select(feasible, sets, scene, w, cfg, fit=gauss_newton_solve):
 
     The reference for ``select_association``; ``fit`` fits one tuple.
     Returns the chosen solution, its estimates, ``(n_solutions,
-    n_survivors, fallback)`` and the set of distinct tuples it fit.
+    n_survivors, fallback)`` and the set of tuples a lexicographic
+    depth-first search reaches: in some solution, every tuple before it
+    passes the threshold; with the fallback, every tuple of every solution.
     """
-    fitted = set()
 
     def solve(t):
-        fitted.add(t)
         return fit(sets, t, scene, w, cfg)
 
     ordered = sorted(feasible.solutions)
@@ -141,7 +141,16 @@ def reference_select(feasible, sets, scene, w, cfg, fit=gauss_newton_solve):
                 best_total = total
                 best = sol
     estimates = () if best is None else tuple(solve(t) for t in best)
-    return best, estimates, (len(ordered), survivors, fallback), fitted
+    if fallback:
+        reached = {t for sol in ordered for t in sol}
+    else:
+        reached = {
+            sol[level]
+            for sol in ordered
+            for level in range(len(sol))
+            if all(solve(t).residual < cfg.residual_threshold for t in sol[:level])
+        }
+    return best, estimates, (len(ordered), survivors, fallback), reached
 
 
 quantized_scenes = st.tuples(
@@ -372,19 +381,25 @@ class TestFitOracle:
         closest=st.booleans(),
         threshold=st.sampled_from((1e-12, 1.0, 16.0)),
     )
+    # plain-set scenes where the search fits tuples a sorted scan of the
+    # solutions never fits (16 and 12 tuples against the scan's 15 and 11):
+    # the scan skips a solution holding an already-failed tuple before
+    # fitting the tuples ahead of it
+    @example(scene_args=(4, 1, 7), closest=False, threshold=16.0)
+    @example(scene_args=(4, 1, 21711), closest=False, threshold=16.0)
     def test_selection_matches_reference_fit(self, scene_args, closest, threshold):
         # selection over the shipped fit makes every decision the reference
-        # fit makes: same solution, counts and fallback
+        # fit makes: same solution, counts, fallback and tuples fit
         scene, sets = quantized_scene_and_sets(*scene_args)
         feas = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
         cfg = GnConfig(residual_threshold=threshold)
         res = select_association(feas, sets, scene, W, cfg)
-        solution, estimates, counts, fitted = reference_select(
+        solution, estimates, counts, reached = reference_select(
             feas, sets, scene, W, cfg, fit=reference_gauss_newton_solve
         )
         assert res.solution == solution
         assert (res.stats.n_solutions, res.stats.n_survivors, res.stats.fallback) == counts
-        assert res.stats.solver_calls == len(fitted)
+        assert res.stats.solver_calls == len(reached)
         assert len(res.estimates) == len(estimates)
         for est, ref in zip(res.estimates, estimates):
             assert_fit_matches(est, ref, threshold)
@@ -431,18 +446,21 @@ class TestSelection:
         closest=st.booleans(),
         threshold=st.sampled_from((1e-12, 1.0, 16.0)),
     )
+    # the scenes of test_selection_matches_reference_fit's examples
+    @example(scene_args=(4, 1, 7), closest=False, threshold=16.0)
+    @example(scene_args=(4, 1, 21711), closest=False, threshold=16.0)
     def test_memoization_is_transparent(self, scene_args, closest, threshold):
         # the fit memo only saves work: same answer and counts as refitting
-        # every tuple on every use, with one solver call per distinct tuple
+        # every tuple on every use, with one solver call per tuple reached
         scene, sets = quantized_scene_and_sets(*scene_args)
         feas = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
         cfg = GnConfig(residual_threshold=threshold)
         res = select_association(feas, sets, scene, W, cfg)
-        solution, estimates, counts, fitted = reference_select(feas, sets, scene, W, cfg)
+        solution, estimates, counts, reached = reference_select(feas, sets, scene, W, cfg)
         assert res.solution == solution
         assert res.estimates == estimates
         assert (res.stats.n_solutions, res.stats.n_survivors, res.stats.fallback) == counts
-        assert res.stats.solver_calls == len(fitted)
+        assert res.stats.solver_calls == len(reached)
 
     @settings(max_examples=20, deadline=None)
     @given(scene_args=quantized_scenes, order_seed=st.integers(0, 2**32 - 1))
