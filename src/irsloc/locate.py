@@ -150,7 +150,10 @@ def _damped_step(a00, a01, a11, g0, g1, lam):
 def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     """Damped Gauss-Newton fit of circle constraints from ``init``.
 
-    A singular damped system raises λ tenfold, as a rejected step does.
+    A singular damped system raises λ tenfold, as a rejected step does.  A
+    step shorter than ``cfg.step_tol_m`` ends the fit as converged, whether
+    it is accepted or rejected: a rejected one keeps ``x``, because every
+    retry with more damping would be shorter still.
     """
     arrays = _constraint_arrays(triples)
     x = np.array(init, dtype=float)
@@ -162,24 +165,25 @@ def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     for it in range(1, cfg.max_iters + 1):
         (a00, a01), (_, a11) = (jac.T @ jac).tolist()
         g0, g1 = (jac.T @ r).tolist()
-        step = None
         while lam <= 1e12:
             candidate = _damped_step(a00, a01, a11, g0, g1, lam)
             if candidate is None:
                 lam *= 10.0
                 continue
+            length = math.hypot(candidate[0], candidate[1])
             x_new = x + candidate
             r_new, jac_new = _evaluate(x_new, *arrays)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost + 1e-15:
-                step = candidate
                 x, r, jac, cost = x_new, r_new, jac_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 break
+            if length < cfg.step_tol_m:
+                break
             lam *= 10.0
-        if step is None:
+        else:
             break
-        if math.hypot(step[0], step[1]) < cfg.step_tol_m:
+        if length < cfg.step_tol_m:
             converged = True
             break
     return LocEstimate(

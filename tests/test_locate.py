@@ -338,6 +338,36 @@ class TestFitOracle:
             np.linalg.solve(a + 1e-12 * np.eye(2), -np.ones(2))
         assert _damped_step(1e6, 1e6, 1e6, 1.0, 1.0, 1e-12) is None
 
+    def test_rejected_step_under_tolerance_ends_the_fit(self, monkeypatch):
+        # this fit rejects damped steps shorter than step_tol_m more than
+        # once in the reference; the first such rejection must end it
+        scene, sets = quantized_scene_and_sets(2, 1, 1)
+        t = ground_truth_solution(scene, sets, cell_m=0.75)[0]
+        triples = _constraints(sets, t, scene, W)
+        init = default_init(sets, t, scene)
+        evaluated = []
+        evaluate = locate._evaluate
+
+        def recording(pos, *arrays):
+            r, jac = evaluate(pos, *arrays)
+            evaluated.append((pos, float(r @ r)))
+            return r, jac
+
+        monkeypatch.setattr(locate, "_evaluate", recording)
+        est = fit_position(triples, GN, init)
+        x, cost = evaluated[0]
+        short_rejections = []
+        for i, (pos, cost_new) in enumerate(evaluated[1:], 1):
+            if cost_new <= cost + 1e-15:
+                x, cost = pos, cost_new
+            elif math.hypot(*(pos - x)) < GN.step_tol_m:
+                short_rejections.append(i)
+        assert short_rejections == [len(evaluated) - 1]
+        assert est.converged
+        assert est.residual == cost
+        ref = reference_fit_position(triples, GN, init)
+        assert distance(est.position, ref.position) <= 1e-9
+
     def test_init_on_an_anchor(self):
         # zero distance to an anchor takes the clamped-gradient branch
         scene, sets = scene_and_sets(IRS1, 2, seed=3, cell_m=0.75)
