@@ -499,7 +499,12 @@ def _baseline_init(anchors, radii):
 
 
 def _free_slot_children(node):
-    """Triples for the target of rank ``level``: each free slot of anchor 2, then 3."""
+    """The baseline's search tree, in lexicographic order.
+
+    Node ``(level, free2, free3)`` branches over the triples ``(level, j2,
+    j3)`` of the target of rank ``level``, for each free slot ``j2`` of
+    anchor 2 and ``j3`` of anchor 3.
+    """
     level, free2, free3 = node
     for a, j2 in enumerate(free2):
         rest2 = free2[:a] + free2[a + 1 :]

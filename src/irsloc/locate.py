@@ -299,11 +299,8 @@ def lexmin_select(
     if fallback:
         search(root, 0.0, False)
     stats = SolveStats(n_solutions, survivors, solve.cache_info().currsize, fallback)
-    if best is None:
-        return LocalizationResult(solution=None, estimates=(), stats=stats)
-    return LocalizationResult(
-        solution=best, estimates=tuple(solve(t) for t in best), stats=stats
-    )
+    estimates = () if best is None else tuple(solve(t) for t in best)
+    return LocalizationResult(solution=best, estimates=estimates, stats=stats)
 
 
 def select_association(
@@ -317,12 +314,9 @@ def select_association(
 
     ``lexmin_select`` walks the sorted solutions as a prefix tree: a node at
     level ``L`` is a run of consecutive solutions sharing their first ``L``
-    tuples, and its children are the runs that also share tuple ``L``.
-    Each tuple reached is fit once, and one whose residual reaches
-    ``cfg.residual_threshold`` cuts every solution below it.  Survivors
-    compete on total residual and the lexicographically first minimum wins.
-    When nothing survives, the search repeats without the threshold so a
-    nonempty feasible set always yields an answer.
+    tuples, and its children are the runs that also share tuple ``L``.  A
+    tuple whose residual reaches ``cfg.residual_threshold`` cuts every
+    solution in its run.
     """
     ordered = sorted(feasible.solutions)
 
@@ -336,6 +330,8 @@ def select_association(
             yield t, (level + 1, lo, end)
             lo = end
 
+    # one level per target, not per tuple of some solution: with no solutions
+    # a zero-depth tree would make the root itself an empty answer
     return lexmin_select(
         len(sets.direct[0]),
         (0, 0, len(ordered)),
