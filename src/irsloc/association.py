@@ -30,7 +30,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .scene import Point2D, Scene, distance
+from .scene import Point2D, Scene, distance, echo_lengths
 from .ranging import RangeSets, quantize_range
 
 
@@ -308,13 +308,9 @@ def ground_truth_solution(
     used = [set() for _ in lists]
     solution = []
     for rank, i in enumerate(rank_order(scene)):
-        t = scene.targets[i]
         g = scene.true_irs[i]
-        d_bt = [distance(bs_pos, t) for bs_pos in scene.bs]
-        wanted = [2.0 * d for d in d_bt] + [
-            d + distance(scene.irs[g], t) + distance(bs_pos, scene.irs[g])
-            for d, bs_pos in zip(d_bt, scene.bs)
-        ]
+        echoes = [echo_lengths(bs_pos, scene.irs[g], scene.targets[i]) for bs_pos in scene.bs]
+        wanted = [d for d, _ in echoes] + [v for _, v in echoes]
         picks = [
             claim_slot(values, u, quantize_range(v, cell_m))
             for values, u, v in zip(lists, used, wanted)

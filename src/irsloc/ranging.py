@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scene import Scene, distance
+from .scene import Scene, delay_cell, distance, echo_lengths
 from .waveform import BsSnapshot, OfdmConfig
 
 
@@ -181,25 +181,22 @@ def delay_to_range(l: int, cfg: OfdmConfig) -> float:
 
 
 def quantize_range(value: float, cell_m: float | None) -> float:
-    """Center of the delay cell holding path length ``value``.
+    """Center of the ``delay_cell`` holding path length ``value``.
 
-    Floor-quantizes to the ``cell_m`` grid, as detection on the waveform
-    path reports a range; ``cell_m=None`` leaves ``value`` exact.
+    Reports the range as detection on the waveform path does;
+    ``cell_m=None`` leaves ``value`` exact.
     """
     if cell_m is None:
         return value
-    return (math.floor(value / cell_m) + 0.5) * cell_m
+    return (delay_cell(value, cell_m) + 0.5) * cell_m
 
 
 def irs_echo_bins(scene: Scene, cfg: OfdmConfig) -> tuple[frozenset[int], frozenset[int]]:
-    """Known delay bins of the static BS-IRS-BS reflections, per BS."""
+    """Known delay bins (``delay_cell``) of the static BS-IRS-BS reflections, per BS."""
     out = []
     for bs_pos in scene.bs:
         out.append(
-            frozenset(
-                math.floor(2.0 * distance(bs_pos, q) * cfg.bandwidth_hz / cfg.c0)
-                for q in scene.irs
-            )
+            frozenset(delay_cell(2.0 * distance(bs_pos, q), cfg.cell_m) for q in scene.irs)
         )
     return out[0], out[1]
 
@@ -250,16 +247,12 @@ class RangeSets:
         direct = []
         via = []
         for bs_pos in scene.bs:
-            d3 = []
-            d4 = []
-            for k, t in enumerate(scene.targets):
-                d_bt = distance(bs_pos, t)
-                g = scene.true_irs[k]
-                d3.append(quantize_range(2.0 * d_bt, cell_m))
-                total = d_bt + distance(scene.irs[g], t) + distance(bs_pos, scene.irs[g])
-                d4.append(quantize_range(total, cell_m))
-            direct.append(tuple(sorted(d3)))
-            via.append(tuple(sorted(d4)))
+            echoes = [
+                echo_lengths(bs_pos, scene.irs[g], t)
+                for t, g in zip(scene.targets, scene.true_irs)
+            ]
+            direct.append(tuple(sorted(quantize_range(d, cell_m) for d, _ in echoes)))
+            via.append(tuple(sorted(quantize_range(v, cell_m) for _, v in echoes)))
         return cls(direct=(direct[0], direct[1]), via_irs=(via[0], via[1]))
 
 

@@ -6,6 +6,14 @@ anchors, and ``K >= 1`` passive targets to be localized.  Each target sits in
 the coverage region of exactly one IRS, the one nearest to it, and that
 assignment is recorded as ground truth for scoring.
 
+The echo model lives here too, once for every stage.  A BS hears two echoes
+per target: the BS-target-BS round trip and the BS-target-IRS-BS compound
+path via the target's serving IRS (``echo_lengths``).  A path of total length
+``x`` lands in delay cell ``floor(x / cell)`` (``delay_cell``); the sampler,
+the tap synthesis, the range quantizer and the known anchor-reflection bins
+all read the cell from there, which is what keeps the sampler's promise that
+no two echoes a BS hears share a cell.
+
 The module also hosts the anchor-placement checks used by the uniqueness
 experiments: pairwise differences of BS-to-IRS distances must be distinct,
 otherwise two IRSs become interchangeable in the association step.
@@ -45,6 +53,21 @@ def as_point(p) -> Point2D:
 def distance(a, b) -> float:
     """Euclidean distance in meters between two planar points."""
     return math.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1]))
+
+
+def delay_cell(length_m: float, cell_m: float) -> int:
+    """Delay cell holding a path of total length ``length_m``: floor(length / cell)."""
+    return math.floor(length_m / cell_m)
+
+
+def echo_lengths(bs_pos, irs_pos, target) -> tuple[float, float]:
+    """Total lengths ``(direct, via)`` of the two echoes a BS hears from a target.
+
+    ``direct`` is the BS-target-BS round trip, ``via`` the BS-target-IRS-BS
+    compound path through the IRS at ``irs_pos``.
+    """
+    d_bt = distance(bs_pos, target)
+    return 2.0 * d_bt, d_bt + distance(irs_pos, target) + distance(bs_pos, irs_pos)
 
 
 def nearest_irs(irs: tuple, point) -> int:
@@ -196,8 +219,8 @@ def sample_targets(
     half disc of the given radius around that IRS, on the side facing the
     BS line.  Draws are rejected when the sampled point is nearer to some
     other IRS, or when ``cell_m`` is set and one of the point's echoes
-    (direct round trip, or total path via its serving IRS) falls in the same
-    floor-quantized delay cell as any other echo a BS hears: another
+    (``echo_lengths``) falls in the same ``delay_cell`` as any other echo a
+    BS hears: another
     target's echo, a static BS-IRS-BS reflection, or the point's own second
     echo at that BS.  A collision would merge two entries of a range list or
     hide one behind a known reflection, and downstream association assumes
@@ -215,8 +238,7 @@ def sample_targets(
     occupied: list[set[int]] = [set(), set()]
     if cell_m is not None:
         for m, bs_pos in enumerate(bs):
-            for q in irs:
-                occupied[m].add(math.floor(2.0 * distance(bs_pos, q) / cell_m))
+            occupied[m].update(delay_cell(2.0 * distance(bs_pos, q), cell_m) for q in irs)
 
     targets: list[Point2D] = []
     assignment: list[int] = []
@@ -226,15 +248,18 @@ def sample_targets(
             pos = _half_disc_sample(rng, irs[g], radius, bs)
             if nearest_irs(irs, pos) != g:
                 continue
-            cells = _echo_cells(bs, irs[g], pos, cell_m) if cell_m else None
-            if cells is not None and any(
-                d == v or d in occupied[m] or v in occupied[m]
-                for m, (d, v) in enumerate(cells)
-            ):
-                continue
-            if cells is not None:
-                for m, (d, v) in enumerate(cells):
-                    occupied[m].update((d, v))
+            if cell_m is not None:
+                cells = [
+                    [delay_cell(x, cell_m) for x in echo_lengths(bs_pos, irs[g], pos)]
+                    for bs_pos in bs
+                ]
+                if any(
+                    d == v or d in occupied[m] or v in occupied[m]
+                    for m, (d, v) in enumerate(cells)
+                ):
+                    continue
+                for m, pair in enumerate(cells):
+                    occupied[m].update(pair)
             targets.append(pos)
             assignment.append(g)
             break
@@ -244,23 +269,6 @@ def sample_targets(
                 f"{max_attempts_per_target} attempts"
             )
     return Scene(bs=bs, irs=irs, targets=tuple(targets), true_irs=tuple(assignment))
-
-
-def _echo_cells(bs, serving_irs: Point2D, pos: Point2D, cell_m: float):
-    """Quantized delay cells of the two echoes each BS hears from a target.
-
-    Returns one ``(direct, via)`` cell pair per BS, where direct is the
-    BS-target-BS round trip and via the BS-target-IRS-BS compound path.
-    """
-    d_it = distance(serving_irs, pos)
-    pairs = []
-    for bs_pos in bs:
-        d_bt = distance(bs_pos, pos)
-        via = d_bt + d_it + distance(bs_pos, serving_irs)
-        pairs.append(
-            (math.floor(2.0 * d_bt / cell_m), math.floor(via / cell_m))
-        )
-    return pairs
 
 
 def mirror_across_bs_line(bs, point) -> Point2D:

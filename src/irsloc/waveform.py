@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scene import Scene, distance
+from .scene import Scene, delay_cell, distance
 
 
 class LinkType(str, Enum):
@@ -165,8 +165,8 @@ class PathList:
 
 
 def path_delay(length_m: float, cfg: OfdmConfig) -> int:
-    """Tap index of a path of the given total length (floor quantization)."""
-    return math.floor(length_m * cfg.bandwidth_hz / cfg.c0)
+    """Tap index of a path of the given total length: its ``delay_cell``."""
+    return delay_cell(length_m, cfg.cell_m)
 
 
 def _path_phase(phase_seed: int, *key: int) -> float:
