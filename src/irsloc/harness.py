@@ -105,6 +105,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "bs", tuple(as_point(p) for p in self.bs))
         object.__setattr__(self, "irs", tuple(as_point(p) for p in self.irs))
+        if len(self.bs) != 2:
+            raise ValueError("bs must hold exactly two base stations")
+        if not self.irs:
+            raise ValueError("irs must hold at least one surface")
         if self.k < 1 or self.trials < 1:
             raise ValueError("k and trials must be >= 1")
         if self.tau_m < 0 or self.error_radius_m <= 0 or self.target_radius_m <= 0:
@@ -205,7 +209,6 @@ class TrialOutcome:
     est_positions: tuple[Point2D | None, ...]
     residuals: tuple[float, ...]
     chosen: tuple[AssociationTuple, ...] | None
-    n_unfiltered: int
     n_feasible: int
     n_survivors: int
     solver_calls: int
@@ -217,8 +220,7 @@ FAILURE_REASONS = ("sampling", "delay_window", "unbalanced", "no_truth")
 
 
 def _scored_outcome(
-    trial, k, scene, n_unfiltered, start, result: LocalizationResult, correct, chosen,
-    failure=None,
+    trial, k, scene, start, result: LocalizationResult, correct, chosen, failure=None
 ) -> TrialOutcome:
     """``result`` scored against the scene's targets in rank order.
 
@@ -245,7 +247,6 @@ def _scored_outcome(
         est_positions=ests,
         residuals=residuals,
         chosen=chosen,
-        n_unfiltered=n_unfiltered,
         n_feasible=result.stats.n_solutions,
         n_survivors=result.stats.n_survivors,
         solver_calls=result.stats.solver_calls,
@@ -259,10 +260,8 @@ _NO_RESULT = LocalizationResult(
 )
 
 
-def _failed_outcome(trial, k, scene, n_unfiltered, start, failure) -> TrialOutcome:
-    return _scored_outcome(
-        trial, k, scene, n_unfiltered, start, _NO_RESULT, False, None, failure
-    )
+def _failed_outcome(trial, k, scene, start, failure) -> TrialOutcome:
+    return _scored_outcome(trial, k, scene, start, _NO_RESULT, False, None, failure)
 
 
 def _oracle_result(truth, fit, n_solutions: int) -> LocalizationResult:
@@ -328,7 +327,6 @@ def run_trial(
     """
     start = time.perf_counter()
     k = cfg.k
-    n_unfiltered = count_unfiltered_solutions(k, len(cfg.irs))
     scene_seed, phase1_seed = seed_seq.spawn(2)
     try:
         scene = sample_targets(
@@ -340,7 +338,7 @@ def run_trial(
             cell_m=cfg.ofdm.cell_m,
         )
     except SceneSamplingError:
-        return _failed_outcome(trial, k, None, n_unfiltered, start, "sampling")
+        return _failed_outcome(trial, k, None, start, "sampling")
 
     if cfg.skip_phase1:
         sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
@@ -348,13 +346,13 @@ def run_trial(
         try:
             sets = _phase1_range_sets(scene, cfg, phase1_seed)
         except DelayWindowError:
-            return _failed_outcome(trial, k, scene, n_unfiltered, start, "delay_window")
+            return _failed_outcome(trial, k, scene, start, "delay_window")
         if not sets.balanced(k):
-            return _failed_outcome(trial, k, scene, n_unfiltered, start, "unbalanced")
+            return _failed_outcome(trial, k, scene, start, "unbalanced")
 
     truth = ground_truth_solution(scene, sets, cell_m=cfg.ofdm.cell_m)
     if truth is None:
-        return _failed_outcome(trial, k, scene, n_unfiltered, start, "no_truth")
+        return _failed_outcome(trial, k, scene, start, "no_truth")
 
     if oracle:
         result = _oracle_result(
@@ -365,9 +363,7 @@ def run_trial(
     correct = result.solution is not None and solutions_equivalent(
         sets, result.solution, truth
     )
-    return _scored_outcome(
-        trial, k, scene, n_unfiltered, start, result, correct, result.solution
-    )
+    return _scored_outcome(trial, k, scene, start, result, correct, result.solution)
 
 
 def error_probability(outcomes, radius: float = 0.8) -> float:
@@ -530,7 +526,7 @@ def run_baseline_trial(
     start = time.perf_counter()
     k = cfg.k
     anchors = (cfg.bs[0], cfg.bs[1], cfg.irs[0])
-    n_unfiltered = math.factorial(k) ** 2
+    n_solutions = math.factorial(k) ** 2
     scene_seed, _ = seed_seq.spawn(2)
     try:
         scene3 = sample_targets(
@@ -542,7 +538,7 @@ def run_baseline_trial(
             cell_m=cfg.ofdm.cell_m,
         )
     except SceneSamplingError:
-        return _failed_outcome(trial, k, None, n_unfiltered, start, "sampling")
+        return _failed_outcome(trial, k, None, start, "sampling")
 
     cell = cfg.ofdm.cell_m
     ranges = [
@@ -551,7 +547,7 @@ def run_baseline_trial(
     ]
     truth = _baseline_truth(scene3, anchors, ranges, cell)
     if truth is None:
-        return _failed_outcome(trial, k, scene3, n_unfiltered, start, "no_truth")
+        return _failed_outcome(trial, k, scene3, start, "no_truth")
 
     sigma = cfg.weights.sigma_direct
 
@@ -561,7 +557,7 @@ def run_baseline_trial(
         return fit_position(triples, cfg.gn, _baseline_init(anchors, radii))
 
     if oracle:
-        result = _oracle_result(truth, fit, n_unfiltered)
+        result = _oracle_result(truth, fit, n_solutions)
     else:
         slots = tuple(range(k))
         result = lexmin_select(
@@ -570,7 +566,7 @@ def run_baseline_trial(
             _free_slot_children,
             fit,
             cfg.gn.residual_threshold,
-            n_unfiltered,
+            n_solutions,
         )
     # target-wise equal range values, as solutions_equivalent compares them
     correct = all(
@@ -578,7 +574,7 @@ def run_baseline_trial(
         for p, q in zip(result.solution, truth)
         for a in range(3)
     )
-    return _scored_outcome(trial, k, scene3, n_unfiltered, start, result, correct, None)
+    return _scored_outcome(trial, k, scene3, start, result, correct, None)
 
 
 def baseline_3bs(cfg: ExperimentConfig, oracle: bool = False) -> list[TrialOutcome]:
@@ -644,17 +640,18 @@ def topology_experiment(cfg: ExperimentConfig, variants=None) -> list[dict]:
 # ---------------------------------------------------------------------------
 # perfect-range uniqueness experiment
 
+# Scenes cycle over these target and IRS counts on the stock layouts, with
+# targets within UNIQUENESS_RADIUS_M of their IRS.  The consistency tolerance
+# is near zero because ranges are exact, and a scene counts as localized
+# when every fit lands within UNIQUENESS_POSITION_TOL_M of its target.
+UNIQUENESS_K_VALUES = (2, 3, 4)
+UNIQUENESS_R_VALUES = (1, 2, 3)
+UNIQUENESS_RADIUS_M = 50.0
+UNIQUENESS_TAU_M = 1e-9
+UNIQUENESS_POSITION_TOL_M = 1e-6
 
-def uniqueness_experiment(
-    n_scenes: int,
-    seed: int = 1,
-    k_values=(2, 3, 4),
-    r_values=(1, 2, 3),
-    bs=DEFAULT_BS,
-    radius: float = 50.0,
-    tau: float = 1e-9,
-    position_tol: float = 1e-6,
-) -> dict:
+
+def uniqueness_experiment(n_scenes: int, seed: int = 1) -> dict:
     """Exact-range sanity check of the association stage.
 
     Scenes cycle over all (K, R) combinations with the stock IRS layouts.
@@ -667,7 +664,7 @@ def uniqueness_experiment(
     w = ResidualWeights()
     gn = GnConfig()
     seeds = np.random.SeedSequence(seed).spawn(n_scenes)
-    combos = [(k, r) for k in k_values for r in r_values]
+    combos = [(k, r) for k in UNIQUENESS_K_VALUES for r in UNIQUENESS_R_VALUES]
     successes = 0
     unique = 0
     worst = 0.0
@@ -677,12 +674,14 @@ def uniqueness_experiment(
         k, r = combos[i % len(combos)]
         irs = DEFAULT_IRS_LAYOUTS[r]
         try:
-            scene = sample_targets(bs, irs, k, radius, s, cell_m=DEFAULT_CELL_M)
+            scene = sample_targets(
+                DEFAULT_BS, irs, k, UNIQUENESS_RADIUS_M, s, cell_m=DEFAULT_CELL_M
+            )
         except SceneSamplingError:
             sampling_failures += 1
             continue
         sets = RangeSets.from_geometry(scene, cell_m=None)
-        feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=False)
+        feasible = enumerate_feasible(sets, scene, UNIQUENESS_TAU_M, use_closest_irs=False)
         truth = ground_truth_solution(scene, sets, cell_m=None)
         ok = (
             len(feasible.solutions) == 1
@@ -697,7 +696,7 @@ def uniqueness_experiment(
                 est = gauss_newton_solve(sets, t, scene, w, gn)
                 errs.append(distance(est.position, true_pos))
             worst = max(worst, max(errs))
-            if max(errs) <= position_tol:
+            if max(errs) <= UNIQUENESS_POSITION_TOL_M:
                 successes += 1
             else:
                 failures.append({"scene": i, "k": k, "r": r, "worst_err": max(errs)})

@@ -91,6 +91,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(tau_m=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, layout",
+        [
+            ("irs", []),
+            ("bs", [[100.0, 0.0]]),
+            ("bs", [[100.0, 0.0], [-100.0, 0.0], [0.0, -50.0]]),
+        ],
+    )
+    def test_from_dict_rejects_layout_without_two_bs_and_an_irs(self, field, layout):
+        d = default_config().to_dict()
+        d[field] = layout
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ExperimentConfig.from_dict(d)
+
     def test_json_round_trip(self, tmp_path):
         cfg = default_config(2, k=3, trials=7, seed=42)
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -155,7 +169,6 @@ class TestTrials:
         out = run_trial(cfg, 5, np.random.SeedSequence(3).spawn(1)[0])
         assert out.trial == 5
         assert out.k == 3
-        assert out.n_unfiltered == count_unfiltered_solutions(3, 1)
         assert out.n_feasible >= 1
         assert len(out.errors_m) == 3
         assert not out.detection_failed
@@ -484,7 +497,7 @@ def reference_baseline_trial(cfg, trial, seed_seq, oracle=False):
             cell_m=cfg.ofdm.cell_m,
         )
     except SceneSamplingError:
-        return harness._failed_outcome(trial, k, None, n_unfiltered, start, "sampling")
+        return harness._failed_outcome(trial, k, None, start, "sampling")
 
     cell = cfg.ofdm.cell_m
     ranges = [
@@ -493,7 +506,7 @@ def reference_baseline_trial(cfg, trial, seed_seq, oracle=False):
     ]
     truth = _baseline_truth(scene3, anchors, ranges, cell)
     if truth is None:
-        return harness._failed_outcome(trial, k, scene3, n_unfiltered, start, "no_truth")
+        return harness._failed_outcome(trial, k, scene3, start, "no_truth")
 
     w = cfg.weights
     cache: dict[BaselineTriple, LocEstimate] = {}
@@ -579,7 +592,6 @@ def reference_baseline_trial(cfg, trial, seed_seq, oracle=False):
         est_positions=ests,
         residuals=tuple(e.residual for e in estimates),
         chosen=None,
-        n_unfiltered=n_unfiltered,
         n_feasible=n_unfiltered,
         n_survivors=survivors,
         solver_calls=len(cache),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from irsloc.scene import Point2D, Scene, distance
+from irsloc.harness import default_config
+from irsloc.scene import Point2D, Scene, distance, sample_targets
 from irsloc.waveform import (
     DelayWindowError,
     LinkType,
@@ -130,6 +131,22 @@ class TestPaths:
             assert by_kind[LinkType.TARGET_VIA_IRS].delay == path_delay(
                 d_bt + d_it + d_bi, cfg
             )
+
+    @pytest.mark.parametrize("n_irs", [1, 2, 3])
+    def test_sampled_scenes_give_each_echo_its_own_tap(self, n_irs):
+        # the sampler's distinct-cell promise, read through the taps synthesis
+        # emits; balanced range lists rely on it
+        for k in range(2, 7):
+            cfg = default_config(n_irs, k=k)
+            for seed in (0, 1, 7, 2029):
+                scene = sample_targets(
+                    cfg.bs, cfg.irs, k, cfg.target_radius_m, seed, cell_m=cfg.ofdm.cell_m
+                )
+                paths = build_paths(scene, cfg.ofdm, symbol=2)
+                for m in (0, 1):
+                    delays = [tap.delay for tap in paths.for_bs(m)]
+                    assert len(delays) == 2 * k + n_irs
+                    assert len(set(delays)) == len(delays)
 
     def test_gain_model(self):
         scene = one_target_scene()
