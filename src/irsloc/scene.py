@@ -249,10 +249,10 @@ def sample_targets(
             if nearest_irs(irs, pos) != g:
                 continue
             if cell_m is not None:
-                cells = [
-                    [delay_cell(x, cell_m) for x in echo_lengths(bs_pos, irs[g], pos)]
-                    for bs_pos in bs
-                ]
+                cells = []
+                for bs_pos in bs:
+                    direct, via = echo_lengths(bs_pos, irs[g], pos)
+                    cells.append((delay_cell(direct, cell_m), delay_cell(via, cell_m)))
                 if any(
                     d == v or d in occupied[m] or v in occupied[m]
                     for m, (d, v) in enumerate(cells)
