@@ -220,12 +220,11 @@ def sample_targets(
     BS line.  Draws are rejected when the sampled point is nearer to some
     other IRS, or when ``cell_m`` is set and one of the point's echoes
     (``echo_lengths``) falls in the same ``delay_cell`` as any other echo a
-    BS hears: another
-    target's echo, a static BS-IRS-BS reflection, or the point's own second
-    echo at that BS.  A collision would merge two entries of a range list or
-    hide one behind a known reflection, and downstream association assumes
-    one direct plus one via entry per target in every list.  Deterministic
-    in ``seed``.
+    BS hears: another target's echo, a static BS-IRS-BS reflection, or the
+    point's own second echo at that BS.  A collision would merge two entries
+    of a range list or hide one behind a known reflection, and downstream
+    association assumes one direct plus one via entry per target in every
+    list.  Deterministic in ``seed``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
