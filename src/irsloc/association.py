@@ -21,6 +21,11 @@ and the two values must agree for a correct hypothesis.  With quantized
 ranges they agree within three half range cells, hence the tolerance knob.
 A second, optional filter intersects the two direct-range circles and keeps
 only hypotheses whose IRS is nearest to one of the two intersection points.
+
+Localization lists the feasible solutions (``enumerate_feasible``);
+counting does not: ``feasible_counts`` memoizes the number of completions
+per set of used list entries, so its cost grows with those sets, not with
+the number of solutions.
 """
 
 import functools
@@ -171,6 +176,26 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
     return functools.cache(functools.partial(closest_irs_candidates, scene, sets))
 
 
+def _gap_operands(sets: RangeSets, scene: Scene, tau: float):
+    """``(k, a1, a2, bi_gap)``, with ``a_m[d, v] = via_m[v] - direct_m[d] / 2``.
+
+    A pick's gap is ``|a1[direct1, via1] - a2[direct2, via2] - bi_gap[irs]|``
+    in this float order: quantized layouts put many gaps exactly on ``tau``.
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    k = len(sets.direct[0])
+    if not sets.balanced(k):
+        raise ValueError(f"unbalanced range lists {sets.counts()}; need K entries each")
+
+    d1, d2 = (np.asarray(d) for d in sets.direct)
+    v1, v2 = (np.asarray(v) for v in sets.via_irs)
+    d_bi = np.array([[distance(b, q) for q in scene.irs] for b in scene.bs])
+    a1 = v1[None, :] - 0.5 * d1[:, None]
+    a2 = v2[None, :] - 0.5 * d2[:, None]
+    return k, a1, a2, d_bi[0] - d_bi[1]
+
+
 def enumerate_feasible(
     sets: RangeSets,
     scene: Scene,
@@ -189,23 +214,7 @@ def enumerate_feasible(
     ``use_closest_irs``, picks that fail the nearest-surface rule
     (``closest_irs_rule``) are cut as well.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    k = len(sets.direct[0])
-    if not sets.balanced(k):
-        raise ValueError(f"unbalanced range lists {sets.counts()}; need K entries each")
-
-    d1 = np.asarray(sets.direct[0])
-    d2 = np.asarray(sets.direct[1])
-    v1 = np.asarray(sets.via_irs[0])
-    v2 = np.asarray(sets.via_irs[1])
-    d_bi = np.array(
-        [[distance(bs_pos, q) for q in scene.irs] for bs_pos in scene.bs]
-    )
-    bi_gap = d_bi[0] - d_bi[1]
-    # a_m[d, v] = via_m[v] - direct_m[d] / 2; gap needs only their difference
-    a1 = v1[None, :] - 0.5 * d1[:, None]
-    a2 = v2[None, :] - 0.5 * d2[:, None]
+    k, a1, a2, bi_gap = _gap_operands(sets, scene, tau)
     allowed = closest_irs_rule(scene, sets) if use_closest_irs else None
 
     solutions: list[tuple[AssociationTuple, ...]] = []
@@ -250,6 +259,44 @@ def enumerate_feasible(
     return FeasibleSet(
         solutions=tuple(solutions), tau=tau, closest_irs_filter=use_closest_irs
     )
+
+
+def feasible_counts(sets: RangeSets, scene: Scene, tau: float, keep=None) -> tuple[int, int]:
+    """``(n_feasible, n_kept)`` without listing a solution.
+
+    ``n_feasible`` is ``len(enumerate_feasible(sets, scene, tau).solutions)``
+    and ``n_kept`` counts the feasible solutions whose every tuple passes
+    ``keep`` (all of them for None).  The gap is evaluated once over the
+    whole (direct1, direct2, via1, via2, irs) grid; each passing pick gets a
+    mask with one bit for its direct2, via1 and via2 entry in a 3K-bit int.
+    Completions depend only on the used entries, so one memoized recursion
+    over that mask counts them (a subset DP, as in Held and Karp 1962).
+    ``keep`` runs at most once per tuple, and only where the entries left
+    have kept completions, so a costly predicate skips dead ends.
+    """
+    k, a1, a2, bi_gap = _gap_operands(sets, scene, tau)
+    gaps = np.abs(a1[:, None, :, None, None] - a2[None, :, None, :, None] - bi_gap)
+    picks = [[] for _ in range(k)]
+    for i, j, a, b, g in zip(*(idx.tolist() for idx in (gaps < tau).nonzero())):
+        mask = 1 << j | 1 << (k + a) | 1 << (2 * k + b)
+        picks[i].append((AssociationTuple(i, j, a, b, g), mask))
+    passes = functools.cache(keep) if keep is not None else None
+
+    @functools.cache
+    def count(used: int) -> tuple[int, int]:
+        level = used.bit_count() // 3
+        if level == k:
+            return 1, 1
+        n_all = n_kept = 0
+        for t, mask in picks[level]:
+            if not used & mask:
+                sub_all, sub_kept = count(used | mask)
+                n_all += sub_all
+                if sub_kept and (passes is None or passes(t)):
+                    n_kept += sub_kept
+        return n_all, n_kept
+
+    return count(0)
 
 
 def brute_force_solutions(k: int, r: int):

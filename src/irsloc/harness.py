@@ -60,6 +60,7 @@ from .association import (
     closest_irs_rule,
     count_unfiltered_solutions,
     enumerate_feasible,
+    feasible_counts,
     ground_truth_solution,
     rank_order,
     solutions_equivalent,
@@ -74,7 +75,6 @@ from .locate import (
     gauss_newton_solve,
     lexmin_select,
     localize,
-    select_association,
 )
 
 DEFAULT_BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("bs must hold exactly two base stations")
         if not self.irs:
             raise ValueError("irs must hold at least one surface")
+        if len(set(self.irs)) != len(self.irs):
+            raise ValueError("irs must hold distinct positions")
         if self.k < 1 or self.trials < 1:
             raise ValueError("k and trials must be >= 1")
         if self.tau_m < 0 or self.error_radius_m <= 0 or self.target_radius_m <= 0:
@@ -407,16 +409,25 @@ def _mean_and_se(values) -> tuple[float, float]:
     return float(arr.mean()), se
 
 
+def _second_stage(cfg: ExperimentConfig, scene: Scene, sets: RangeSets):
+    """``cardinality_experiment``'s second-stage test of one tuple."""
+    if len(cfg.irs) > 1:
+        rule = closest_irs_rule(scene, sets)
+        return lambda t: t.irs in rule(t.direct1, t.direct2)
+    w, gn = cfg.weights, cfg.gn
+    return lambda t: gauss_newton_solve(sets, t, scene, w, gn).residual < gn.residual_threshold
+
+
 def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
     """Feasible-set size statistics per target count.
 
     For each K: mean size of the consistency-filtered set, plus the second
-    reduction stage, which is residual pruning for a single IRS and the
-    closest-IRS filter for several: the feasible solutions whose every tuple
-    passes ``closest_irs_rule``, so each scene is enumerated once.  Scenes
-    whose targets cannot be placed are skipped and counted in
-    ``sampling_failures``; the means are over the placed scenes, NaN when
-    there are none.
+    reduction stage: the feasible solutions whose every tuple fits below
+    ``cfg.gn.residual_threshold`` for a single IRS (``select_association``'s
+    survivors) or passes ``closest_irs_rule`` for several.  One
+    ``feasible_counts`` call per scene gives both, listing no solution.
+    Unplaceable scenes are skipped and counted in ``sampling_failures``; the
+    means are over the placed scenes, NaN when there are none.
     """
     rows = []
     r = len(cfg.irs)
@@ -436,19 +447,11 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
                 sampling_failures += 1
                 continue
             sets = RangeSets.from_geometry(scene, cell_m=kcfg.ofdm.cell_m)
-            plain = enumerate_feasible(sets, scene, kcfg.tau_m, use_closest_irs=False)
-            feas.append(len(plain.solutions))
-            if r == 1:
-                sel = select_association(plain, sets, scene, kcfg.weights, kcfg.gn)
-                reduced.append(sel.stats.n_survivors)
-            else:
-                rule = closest_irs_rule(scene, sets)
-                reduced.append(
-                    sum(
-                        all(t.irs in rule(t.direct1, t.direct2) for t in sol)
-                        for sol in plain.solutions
-                    )
-                )
+            n_feasible, n_kept = feasible_counts(
+                sets, scene, kcfg.tau_m, _second_stage(kcfg, scene, sets)
+            )
+            feas.append(n_feasible)
+            reduced.append(n_kept)
         mean_feasible, se_feasible = _mean_and_se(feas)
         mean_reduced, se_reduced = _mean_and_se(reduced)
         rows.append(

@@ -22,10 +22,8 @@ Johnstone 1994).  ``A'y`` is one length-N inverse FFT of the
 pilot-compensated samples scattered onto the comb.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -290,33 +288,4 @@ def build_range_sets(
         direct_bins=(d_bins[0], d_bins[1]),
         via_bins=(v_bins[0], v_bins[1]),
         irs_bins=known,
-    )
-
-
-def write_range_sets_csv(path, sets: RangeSets) -> None:
-    """Persist range values as rows of (bs, set, index, meters)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bs", "set", "index", "meters"])
-        for m in (0, 1):
-            for i, v in enumerate(sets.direct[m]):
-                writer.writerow([m + 1, "direct", i, repr(v)])
-            for i, v in enumerate(sets.via_irs[m]):
-                writer.writerow([m + 1, "via_irs", i, repr(v)])
-
-
-def read_range_sets_csv(path) -> RangeSets:
-    """Inverse of ``write_range_sets_csv``; bin fields are not persisted."""
-    rows = {("direct", 0): [], ("direct", 1): [], ("via_irs", 0): [], ("via_irs", 1): []}
-    with open(Path(path), newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["set"], int(row["bs"]) - 1)
-            rows[key].append((int(row["index"]), float(row["meters"])))
-    out = {}
-    for key, pairs in rows.items():
-        pairs.sort()
-        out[key] = tuple(v for _, v in pairs)
-    return RangeSets(
-        direct=(out[("direct", 0)], out[("direct", 1)]),
-        via_irs=(out[("via_irs", 0)], out[("via_irs", 1)]),
     )

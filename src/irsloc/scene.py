@@ -119,23 +119,6 @@ class Scene:
     def n_targets(self) -> int:
         return len(self.targets)
 
-    def to_dict(self) -> dict:
-        return {
-            "bs": [list(p) for p in self.bs],
-            "irs": [list(p) for p in self.irs],
-            "targets": [list(p) for p in self.targets],
-            "true_irs": list(self.true_irs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scene":
-        return cls(
-            bs=tuple(as_point(p) for p in d["bs"]),
-            irs=tuple(as_point(p) for p in d["irs"]),
-            targets=tuple(as_point(p) for p in d["targets"]),
-            true_irs=tuple(d["true_irs"]),
-        )
-
 
 @dataclass(frozen=True)
 class TopologyReport:

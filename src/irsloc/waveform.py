@@ -13,8 +13,6 @@ chain is equivalent sample for sample and serves as its reference.
 
 Echo kinds, named for the receiver ``m`` (transmitter is also ``m``):
 
-* ``INTER_BS``: BS-to-BS direct path.  Lands only on the other BS's comb, so
-  the builder never emits it for the monostatic channel.
 * ``IRS_ECHO``: BS -> IRS -> BS static reflection, delay known from geometry.
 * ``TARGET_ECHO``: BS -> target -> BS direct echo.
 * ``TARGET_VIA_IRS``: BS -> target -> IRS -> BS compound echo.
@@ -34,7 +32,6 @@ from .scene import Scene, delay_cell, distance
 
 
 class LinkType(str, Enum):
-    INTER_BS = "inter_bs"
     IRS_ECHO = "irs_echo"
     TARGET_ECHO = "target_echo"
     TARGET_VIA_IRS = "target_via_irs"

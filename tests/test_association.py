@@ -11,16 +11,19 @@ from irsloc.association import (
     brute_force_solutions,
     circle_intersections,
     closest_irs_candidates,
+    closest_irs_rule,
     consistency_check,
     consistency_gap,
     count_unfiltered_solutions,
     enumerate_feasible,
+    feasible_counts,
     ground_truth_solution,
     irs_range_estimate,
     is_valid_solution,
     solutions_equivalent,
 )
 from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
+from irsloc.locate import GnConfig, ResidualWeights, gauss_newton_solve, select_association
 from irsloc.ranging import RangeSets
 from irsloc.scene import Point2D, Scene, distance, sample_targets
 
@@ -344,7 +347,7 @@ class TestEnumeration:
     def test_closest_filter_restricts_the_plain_set(self, scene_args):
         # the pruned search is the plain search with branches cut, so the
         # plain set restricted to the nearest-surface rule is the pruned set,
-        # order included; this is how cardinality_experiment counts it
+        # order included; feasible_counts' per-tuple ``keep`` relies on it
         scene, sets = stock_scene_and_sets(*scene_args)
         plain = enumerate_feasible(sets, scene, tau=1.5)
         restricted = tuple(
@@ -365,6 +368,10 @@ class TestEnumeration:
         lopsided = RangeSets(direct=((1.0, 2.0), (1.0,)), via_irs=((3.0, 4.0), (3.0, 4.0)))
         with pytest.raises(ValueError):
             enumerate_feasible(lopsided, scene, tau=1.0)
+        with pytest.raises(ValueError):
+            feasible_counts(sets, scene, tau=-1.0)
+        with pytest.raises(ValueError):
+            feasible_counts(lopsided, scene, tau=1.0)
 
     def test_ideal_ranges_leave_only_equivalent_solutions(self):
         # with exact ranges and a vanishing tolerance every survivor picks
@@ -376,6 +383,64 @@ class TestEnumeration:
             assert len(feas.solutions) >= 1
             for sol in feas.solutions:
                 assert solutions_equivalent(sets, sol, truth)
+
+
+class TestFeasibleCounts:
+    """``feasible_counts`` against the listed feasible set and the selection search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene_args=stock_scenes(6))
+    def test_counts_the_listed_set(self, scene_args):
+        scene, sets = stock_scene_and_sets(*scene_args)
+        n = len(enumerate_feasible(sets, scene, tau=1.5).solutions)
+        assert feasible_counts(sets, scene, tau=1.5) == (n, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene_args=stock_scenes(6))
+    def test_closest_irs_keep_counts_the_filtered_set(self, scene_args):
+        scene, sets = stock_scene_and_sets(*scene_args)
+        rule = closest_irs_rule(scene, sets)
+        got = feasible_counts(
+            sets, scene, tau=1.5, keep=lambda t: t.irs in rule(t.direct1, t.direct2)
+        )
+        want = (
+            len(enumerate_feasible(sets, scene, tau=1.5).solutions),
+            len(enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=True).solutions),
+        )
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from((1e-12, 1.0, 16.0)),
+    )
+    def test_residual_keep_counts_the_survivors(self, k, seed, threshold):
+        scene, sets = stock_scene_and_sets(k, 1, seed)
+        w = ResidualWeights.from_cell(0.75)
+        cfg = GnConfig(residual_threshold=threshold)
+        got = feasible_counts(
+            sets,
+            scene,
+            tau=1.5,
+            keep=lambda t: gauss_newton_solve(sets, t, scene, w, cfg).residual < threshold,
+        )
+        feasible = enumerate_feasible(sets, scene, tau=1.5)
+        stats = select_association(feasible, sets, scene, w, cfg).stats
+        assert got == (stats.n_solutions, stats.n_survivors)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scene_args=stock_scenes(5))
+    def test_keep_runs_once_per_tuple_with_kept_completions(self, scene_args):
+        # a tuple is tested only where what follows it still has a kept
+        # completion: for a keep that passes everything, exactly the tuples
+        # of the feasible solutions
+        scene, sets = stock_scene_and_sets(*scene_args)
+        seen = []
+        feasible_counts(sets, scene, tau=1.5, keep=lambda t: seen.append(t) is None)
+        solutions = enumerate_feasible(sets, scene, tau=1.5).solutions
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {t for sol in solutions for t in sol}
 
 
 class TestGroundTruth:

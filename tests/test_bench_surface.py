@@ -50,9 +50,10 @@ def bench():
             sys.modules[name] = module
 
 
-# card-k6-r3's traced rebuild still counts the closest-surface set with a
-# second enumeration, which cardinality_experiment no longer runs, so more of
-# its trials compare the two counts
+# card-k6-r3's traced rebuild lists the plain and the closest-surface sets
+# with enumerate_feasible, while cardinality_experiment counts both with one
+# feasible_counts call and lists nothing, so more of its trials compare the
+# two counts
 TRIALS = {"geo-k4-r1": 2, "wave-k4-r3": 2, "card-k6-r3": 20}
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsloc import harness
+from irsloc import association, harness, locate
 from irsloc.association import circle_intersections, count_unfiltered_solutions
 from irsloc.cli import main
 from irsloc.harness import (
@@ -33,7 +33,7 @@ from irsloc.harness import (
     write_localization_csv,
     write_rows_csv,
 )
-from irsloc.locate import GnConfig, LocEstimate, fit_position
+from irsloc.locate import GnConfig, LocEstimate, fit_position, select_association
 from irsloc.ranging import RangeSets, RangingConfig, quantize_range
 from irsloc.scene import (
     Point2D,
@@ -103,6 +103,15 @@ class TestConfig:
         d = default_config().to_dict()
         d[field] = layout
         with pytest.raises(ValueError, match=f"^{field} must"):
+            ExperimentConfig.from_dict(d)
+
+    def test_rejects_duplicate_irs_positions(self):
+        q = (0.0, 40.0)
+        with pytest.raises(ValueError, match="^irs must"):
+            ExperimentConfig(irs=(q, (70.0, 40.0), q))
+        d = default_config().to_dict()
+        d["irs"] = [[0.0, 40.0], [0, 40]]
+        with pytest.raises(ValueError, match="^irs must"):
             ExperimentConfig.from_dict(d)
 
     def test_json_round_trip(self, tmp_path):
@@ -287,7 +296,8 @@ class TestScoring:
 
 
 def oracle_cardinality_rows(cfg, k_values):
-    """Multi-IRS cardinality rows from two oracle enumerations per scene."""
+    """Cardinality rows from listed sets: two oracle enumerations per scene
+    for several IRSs, one plus the selection search's survivors for one."""
     rows = []
     for k in k_values:
         feas, reduced = [], []
@@ -298,9 +308,13 @@ def oracle_cardinality_rows(cfg, k_values):
             )
             sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
             plain = reference_enumerate(sets, scene, cfg.tau_m)
-            pruned = reference_enumerate(sets, scene, cfg.tau_m, use_closest_irs=True)
             feas.append(len(plain.solutions))
-            reduced.append(len(pruned.solutions))
+            if len(cfg.irs) == 1:
+                sel = select_association(plain, sets, scene, cfg.weights, cfg.gn)
+                reduced.append(sel.stats.n_survivors)
+            else:
+                pruned = reference_enumerate(sets, scene, cfg.tau_m, use_closest_irs=True)
+                reduced.append(len(pruned.solutions))
         mean_feasible, se_feasible = harness._mean_and_se(feas)
         mean_reduced, se_reduced = harness._mean_and_se(reduced)
         rows.append(
@@ -314,7 +328,7 @@ def oracle_cardinality_rows(cfg, k_values):
                 "se_feasible": se_feasible,
                 "mean_reduced": mean_reduced,
                 "se_reduced": se_reduced,
-                "reduced_kind": "closest_irs",
+                "reduced_kind": "residual_pruned" if len(cfg.irs) == 1 else "closest_irs",
             }
         )
     return rows
@@ -364,25 +378,51 @@ class TestCardinality:
         # the nearest-surface rule removes solutions at every K here
         assert all(row["mean_reduced"] < row["mean_feasible"] for row in rows)
 
-    def test_one_enumeration_per_placed_multi_irs_scene(self, monkeypatch):
+    @pytest.mark.parametrize("threshold", (1.0, 16.0))
+    def test_single_irs_rows_match_enumeration_and_selection(self, threshold):
+        cfg = default_config(1, trials=12, seed=1)
+        cfg = replace(cfg, gn=replace(cfg.gn, residual_threshold=threshold))
+        rows = cardinality_experiment(cfg, k_values=(2, 3, 4, 5))
+        assert rows == oracle_cardinality_rows(cfg, (2, 3, 4, 5))
+        assert any(row["mean_reduced"] < row["mean_feasible"] for row in rows)
+
+    def test_one_count_per_placed_scene(self, monkeypatch):
         calls = []
-        enumerate_feasible = harness.enumerate_feasible
+        feasible_counts = harness.feasible_counts
         sample = harness.sample_targets
 
-        def counting_enumerate(*args, **kwargs):
-            calls.append(kwargs.get("use_closest_irs"))
-            return enumerate_feasible(*args, **kwargs)
+        def recording_counts(*args, **kwargs):
+            calls.append(args[1].n_targets)
+            return feasible_counts(*args, **kwargs)
 
         def fail_first_scene(*args, **kwargs):
             if args[4].spawn_key == (0, 0):
                 raise SceneSamplingError("unplaceable")
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "enumerate_feasible", counting_enumerate)
+        monkeypatch.setattr(harness, "feasible_counts", recording_counts)
         monkeypatch.setattr(harness, "sample_targets", fail_first_scene)
         rows = cardinality_experiment(default_config(3, trials=5, seed=2), k_values=(3, 4))
         assert [row["sampling_failures"] for row in rows] == [1, 1]
-        assert calls == [False] * 8
+        assert calls == [3] * 4 + [4] * 4
+
+    @pytest.mark.parametrize("n_irs", (1, 3))
+    def test_counts_without_listing_or_selecting(self, monkeypatch, n_irs):
+        # counting must not fall back to listing the feasible set or to the
+        # selection search, at either kind of second stage
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cardinality_experiment listed or selected")
+
+        for module, name in (
+            (harness, "enumerate_feasible"),
+            (harness, "lexmin_select"),
+            (association, "enumerate_feasible"),
+            (locate, "select_association"),
+            (locate, "lexmin_select"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        rows = cardinality_experiment(default_config(n_irs, trials=4, seed=3), k_values=(3, 4))
+        assert all(row["mean_feasible"] >= 1 for row in rows)
 
     def test_no_placed_scene_gives_nan_means(self, monkeypatch):
         def never_place(*args, **kwargs):

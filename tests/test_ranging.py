@@ -14,10 +14,8 @@ from irsloc.ranging import (
     detect_support,
     irs_echo_bins,
     lasso_solve,
-    read_range_sets_csv,
     soft_threshold,
     weighted_lasso_solve,
-    write_range_sets_csv,
 )
 from irsloc.scene import Point2D, Scene, distance
 from irsloc.waveform import (
@@ -343,15 +341,6 @@ class TestRangeSets:
             # quantized values sit at cell centers
             for q in sets.direct[m] + sets.via_irs[m]:
                 assert (q / 0.75) % 1.0 == pytest.approx(0.5)
-
-    def test_csv_round_trip(self, tmp_path):
-        scene = default_scene(k=3, seed=8)
-        sets = RangeSets.from_geometry(scene, cell_m=0.75)
-        path = tmp_path / "sets.csv"
-        write_range_sets_csv(path, sets)
-        again = read_range_sets_csv(path)
-        assert again.direct == sets.direct
-        assert again.via_irs == sets.via_irs
 
 
 class TestEndToEndRanging:

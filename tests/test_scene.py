@@ -181,10 +181,3 @@ class TestSampling:
         irs = ((0.0, 40.0),)
         with pytest.raises(SceneSamplingError):
             sample_targets(BS, irs, 40, 0.5, seed=1, max_attempts_per_target=50)
-
-
-class TestSceneSerialization:
-    def test_round_trip(self):
-        scene = sample_targets(BS, ((-60.0, 40.0), (70.0, 40.0)), 3, 50.0, seed=5)
-        again = Scene.from_dict(scene.to_dict())
-        assert again == scene
