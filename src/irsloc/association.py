@@ -65,7 +65,6 @@ class FeasibleSet:
     """Enumerated solutions plus bookkeeping about the filters applied."""
 
     solutions: tuple[tuple[AssociationTuple, ...], ...]
-    tau: float
     closest_irs_filter: bool
 
 
@@ -256,9 +255,7 @@ def enumerate_feasible(
             partial.pop()
 
     recurse(0)
-    return FeasibleSet(
-        solutions=tuple(solutions), tau=tau, closest_irs_filter=use_closest_irs
-    )
+    return FeasibleSet(solutions=tuple(solutions), closest_irs_filter=use_closest_irs)
 
 
 def feasible_counts(sets: RangeSets, scene: Scene, tau: float, keep=None) -> tuple[int, int]:

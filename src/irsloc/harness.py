@@ -30,6 +30,7 @@ from .scene import (
     Scene,
     SceneSamplingError,
     as_point,
+    check_layout,
     check_topology,
     distance,
     mirror_across_bs_line,
@@ -103,14 +104,9 @@ class ExperimentConfig:
     ranging: RangingConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bs", tuple(as_point(p) for p in self.bs))
-        object.__setattr__(self, "irs", tuple(as_point(p) for p in self.irs))
-        if len(self.bs) != 2:
-            raise ValueError("bs must hold exactly two base stations")
-        if not self.irs:
-            raise ValueError("irs must hold at least one surface")
-        if len(set(self.irs)) != len(self.irs):
-            raise ValueError("irs must hold distinct positions")
+        bs, irs = check_layout(self.bs, self.irs)
+        object.__setattr__(self, "bs", bs)
+        object.__setattr__(self, "irs", irs)
         if self.k < 1 or self.trials < 1:
             raise ValueError("k and trials must be >= 1")
         if self.tau_m < 0 or self.error_radius_m <= 0 or self.target_radius_m <= 0:
@@ -134,8 +130,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         kwargs = dict(d)
-        kwargs["bs"] = tuple(as_point(p) for p in d["bs"])
-        kwargs["irs"] = tuple(as_point(p) for p in d["irs"])
         if d.get("ofdm"):
             kwargs["ofdm"] = OfdmConfig(**d["ofdm"])
         if d.get("gn"):
@@ -494,7 +488,7 @@ def _baseline_init(anchors, radii):
     if not points:
         return anchors[2]
     fit = [abs(distance(anchors[2], p) - radii[2]) for p in points]
-    return points[int(np.argmin(fit))]
+    return points[1] if fit[1] < fit[0] else points[0]
 
 
 def _free_slot_children(node):
@@ -620,10 +614,7 @@ def topology_experiment(cfg: ExperimentConfig, variants=None) -> list[dict]:
     rows = []
     for name, irs in variants.items():
         vcfg = replace(cfg, irs=tuple(irs))
-        probe = Scene(
-            bs=vcfg.bs, irs=vcfg.irs, targets=(vcfg.irs[0],), true_irs=(0,)
-        )
-        report = check_topology(probe)
+        report = check_topology(vcfg.bs, vcfg.irs)
         outcomes = run_localization(vcfg)
         rows.append(
             {

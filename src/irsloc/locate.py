@@ -210,18 +210,15 @@ def default_init(sets: RangeSets, t: AssociationTuple, scene: Scene) -> Point2D:
     matching = [p for p in points if nearest_irs(scene.irs, p) == t.irs]
     if len(matching) == 1:
         return matching[0]
-    candidates = matching if matching else list(points)
-    if len(candidates) == 1:
-        return candidates[0]
+    candidates = matching if matching else points
     want = irs_range_estimate(sets, t, 0, scene)
     fit = [abs(distance(scene.irs[t.irs], p) - want) for p in candidates]
-    best = int(np.argmin(fit))
     if abs(fit[0] - fit[1]) <= 1e-12 and not matching:
         mid = Point2D(
             0.5 * (points[0].x + points[1].x), 0.5 * (points[0].y + points[1].y)
         )
         return mid
-    return candidates[best]
+    return candidates[1] if fit[1] < fit[0] else candidates[0]
 
 
 def gauss_newton_solve(

@@ -14,7 +14,10 @@ the tap synthesis, the range quantizer and the known anchor-reflection bins
 all read the cell from there, which is what keeps the sampler's promise that
 no two echoes a BS hears share a cell.
 
-The module also hosts the anchor-placement checks used by the uniqueness
+The anchor layout has one rule, ``check_layout``: two BSs at distinct points
+and at least one IRS, no two IRSs at one point and none on a BS.  Every place
+a layout enters (``ExperimentConfig``, ``Scene``, ``sample_targets``) calls
+it.  The module also hosts the anchor-placement checks used by the uniqueness
 experiments: pairwise differences of BS-to-IRS distances must be distinct,
 otherwise two IRSs become interchangeable in the association step.
 """
@@ -73,7 +76,39 @@ def echo_lengths(bs_pos, irs_pos, target) -> tuple[float, float]:
 def nearest_irs(irs: tuple, point) -> int:
     """Index of the IRS closest to ``point`` (first one on exact ties)."""
     dists = [distance(p, point) for p in irs]
-    return int(np.argmin(dists))
+    return min(range(len(dists)), key=dists.__getitem__)
+
+
+def _bs_axis(bs) -> tuple[np.ndarray, np.ndarray]:
+    """BS 1 and the unit vector from BS 1 toward BS 2, as float arrays."""
+    b1 = np.asarray(bs[0], dtype=float)
+    axis = np.asarray(bs[1], dtype=float) - b1
+    norm = np.hypot(*axis)
+    if norm < 1e-12:
+        raise ValueError("bs must hold two base stations at distinct points")
+    return b1, axis / norm
+
+
+def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
+    """The anchor-layout rule; returns ``(bs, irs)`` coerced with ``as_point``.
+
+    Raises ValueError starting ``bs must`` unless there are exactly two BSs
+    at distinct points (so the BS line is defined), and one starting ``irs
+    must`` unless there is at least one IRS, no two IRSs share a point and
+    no IRS sits on a BS.
+    """
+    bs = tuple(as_point(p) for p in bs)
+    irs = tuple(as_point(p) for p in irs)
+    if len(bs) != 2:
+        raise ValueError("bs must hold exactly two base stations")
+    _bs_axis(bs)  # raises when the BS line is undefined
+    if not irs:
+        raise ValueError("irs must hold at least one surface")
+    if len(set(irs)) != len(irs):
+        raise ValueError("irs must hold distinct positions")
+    if any(q in bs for q in irs):
+        raise ValueError("irs must not sit on a base station")
+    return bs, irs
 
 
 @dataclass(frozen=True)
@@ -90,20 +125,15 @@ class Scene:
     true_irs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bs", tuple(as_point(p) for p in self.bs))
-        object.__setattr__(self, "irs", tuple(as_point(p) for p in self.irs))
+        bs, irs = check_layout(self.bs, self.irs)
+        object.__setattr__(self, "bs", bs)
+        object.__setattr__(self, "irs", irs)
         object.__setattr__(self, "targets", tuple(as_point(p) for p in self.targets))
         object.__setattr__(self, "true_irs", tuple(int(g) for g in self.true_irs))
-        if len(self.bs) != 2:
-            raise ValueError("exactly two base stations required")
-        if len(self.irs) < 1:
-            raise ValueError("at least one IRS required")
         if len(self.targets) < 1:
             raise ValueError("at least one target required")
         if len(self.true_irs) != len(self.targets):
             raise ValueError("true_irs must have one entry per target")
-        if len(set(self.irs)) != len(self.irs):
-            raise ValueError("IRS positions must be distinct")
         for k, (t, g) in enumerate(zip(self.targets, self.true_irs)):
             if not 0 <= g < len(self.irs):
                 raise ValueError(f"true_irs[{k}] out of range")
@@ -140,20 +170,19 @@ class TopologyReport:
         return self.c1_ok and self.c2_ok
 
 
-def bs_distance_difference(scene_or_bs, irs_pos) -> float:
+def bs_distance_difference(bs, irs_pos) -> float:
     """d(BS1, IRS) - d(BS2, IRS), the quantity that must be pairwise distinct."""
-    bs = scene_or_bs.bs if isinstance(scene_or_bs, Scene) else scene_or_bs
     return distance(bs[0], irs_pos) - distance(bs[1], irs_pos)
 
 
-def check_topology(scene: Scene, tol: float = 1e-6) -> TopologyReport:
-    """Verify that IRS placement admits unique association.
+def check_topology(bs, irs, tol: float = 1e-6) -> TopologyReport:
+    """Verify that the IRS placement ``irs`` admits unique association.
 
     Two IRSs with equal BS-distance differences (within ``tol`` meters)
     produce identical consistency gaps for swapped assignments, so the
     association step cannot tell them apart even with perfect ranges.
     """
-    deltas = [bs_distance_difference(scene, p) for p in scene.irs]
+    deltas = [bs_distance_difference(bs, p) for p in irs]
     offending = []
     c1_ok = True
     c2_ok = True
@@ -168,16 +197,11 @@ def check_topology(scene: Scene, tol: float = 1e-6) -> TopologyReport:
     return TopologyReport(c1_ok=c1_ok, c2_ok=c2_ok, offending_pairs=tuple(offending))
 
 
-def _half_disc_sample(rng, center: Point2D, radius: float, bs) -> Point2D:
+def _half_disc_sample(rng, center: Point2D, radius: float, bs_axis) -> Point2D:
     """Uniform draw from the half disc around ``center`` on the side of the
-    BS line, so the sensing region sits between its IRS and the BSs."""
-    b1 = np.asarray(bs[0], dtype=float)
-    b2 = np.asarray(bs[1], dtype=float)
-    axis = b2 - b1
-    norm = np.hypot(*axis)
-    if norm < 1e-12:
-        raise ValueError("base stations coincide; BS line undefined")
-    u = axis / norm
+    BS line (``_bs_axis``), so the sensing region sits between its IRS and
+    the BSs."""
+    b1, u = bs_axis
     n = np.array([-u[1], u[0]])
     side = float(np.dot(np.asarray(center) - b1, n))
     toward = -n if side > 0 else n
@@ -213,8 +237,8 @@ def sample_targets(
         raise ValueError("k must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    bs = tuple(as_point(p) for p in bs)
-    irs = tuple(as_point(p) for p in irs)
+    bs, irs = check_layout(bs, irs)
+    bs_axis = _bs_axis(bs)
     rng = np.random.default_rng(seed)
 
     occupied: list[set[int]] = [set(), set()]
@@ -227,7 +251,7 @@ def sample_targets(
     for _ in range(k):
         for attempt in range(max_attempts_per_target):
             g = int(rng.integers(len(irs)))
-            pos = _half_disc_sample(rng, irs[g], radius, bs)
+            pos = _half_disc_sample(rng, irs[g], radius, bs_axis)
             if nearest_irs(irs, pos) != g:
                 continue
             if cell_m is not None:
@@ -260,13 +284,7 @@ def mirror_across_bs_line(bs, point) -> Point2D:
     image has the same BS-distance difference as the original.  Used to
     construct anchor placements that defeat the pairwise-distinctness check.
     """
-    b1 = np.asarray(as_point(bs[0]), dtype=float)
-    b2 = np.asarray(as_point(bs[1]), dtype=float)
-    u = b2 - b1
-    norm = np.hypot(*u)
-    if norm < 1e-12:
-        raise ValueError("base stations coincide; BS line undefined")
-    u = u / norm
+    b1, u = _bs_axis((as_point(bs[0]), as_point(bs[1])))
     v = np.asarray(as_point(point), dtype=float) - b1
     along = np.dot(v, u) * u
     reflected = b1 + 2.0 * along - v

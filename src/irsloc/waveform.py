@@ -24,7 +24,7 @@ exist; from the second symbol on they reflect and the IRS-related taps appear.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -128,6 +128,7 @@ class SubcarrierPlan:
         return (self.bs1, self.bs2)[m]
 
 
+@cache
 def make_plan(n_subcarriers: int) -> SubcarrierPlan:
     """Assign odd 1-based subcarriers to BS 1 and even ones to BS 2."""
     if n_subcarriers < 2 or n_subcarriers % 2 != 0:
@@ -222,8 +223,6 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
         if symbol >= 2:
             for r, q in enumerate(scene.irs):
                 d_bi = distance(bs_pos, q)
-                if d_bi <= 0:
-                    raise ValueError(f"IRS {r} coincides with BS {m}")
                 add(
                     2.0 * d_bi,
                     math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain) / d_bi**2,
@@ -310,20 +309,16 @@ def make_pilots(plan: SubcarrierPlan, seed) -> tuple[np.ndarray, np.ndarray]:
 class BsSnapshot:
     """Received pilots on one BS comb for one symbol."""
 
-    bs: int
-    symbol: int
     subcarriers: tuple[int, ...]
     rx: np.ndarray
     pilots: np.ndarray
     tx_power_w: float
-    noise_var: float
 
 
 @dataclass(eq=False)
 class FreqSnapshot:
     """Per-BS received frequency samples for one pilot symbol."""
 
-    symbol: int
     by_bs: tuple[BsSnapshot, BsSnapshot]
 
 
@@ -356,15 +351,5 @@ def simulate_freq_rx(
             y = y + scale * (
                 rng.standard_normal(len(comb)) + 1j * rng.standard_normal(len(comb))
             )
-        snaps.append(
-            BsSnapshot(
-                bs=m,
-                symbol=paths.symbol,
-                subcarriers=comb,
-                rx=y,
-                pilots=s,
-                tx_power_w=p,
-                noise_var=cfg.noise_var,
-            )
-        )
-    return FreqSnapshot(symbol=paths.symbol, by_bs=(snaps[0], snaps[1]))
+        snaps.append(BsSnapshot(subcarriers=comb, rx=y, pilots=s, tx_power_w=p))
+    return FreqSnapshot(by_bs=(snaps[0], snaps[1]))

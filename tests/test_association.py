@@ -128,9 +128,7 @@ def reference_enumerate(
             partial.pop()
 
     recurse(0)
-    return FeasibleSet(
-        solutions=tuple(solutions), tau=tau, closest_irs_filter=use_closest_irs
-    )
+    return FeasibleSet(solutions=tuple(solutions), closest_irs_filter=use_closest_irs)
 
 
 class TestCounts:

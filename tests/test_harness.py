@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsloc import association, harness, locate
@@ -16,6 +16,7 @@ from irsloc.cli import main
 from irsloc.harness import (
     DEFAULT_BS,
     DEFAULT_IRS_LAYOUTS,
+    FAILURE_REASONS,
     ExperimentConfig,
     TrialOutcome,
     baseline_3bs,
@@ -37,7 +38,6 @@ from irsloc.locate import GnConfig, LocEstimate, fit_position, select_associatio
 from irsloc.ranging import RangeSets, RangingConfig, quantize_range
 from irsloc.scene import (
     Point2D,
-    Scene,
     SceneSamplingError,
     check_topology,
     distance,
@@ -97,6 +97,8 @@ class TestConfig:
             ("irs", []),
             ("bs", [[100.0, 0.0]]),
             ("bs", [[100.0, 0.0], [-100.0, 0.0], [0.0, -50.0]]),
+            ("bs", [[100.0, 0.0], [100.0, 0.0]]),
+            ("irs", [[100.0, 0.0], [0.0, 40.0]]),
         ],
     )
     def test_from_dict_rejects_layout_without_two_bs_and_an_irs(self, field, layout):
@@ -265,6 +267,58 @@ class TestFailures:
             rows = list(csv.DictReader(fh))
         assert [r["failure"] for r in rows] == ["no_truth", "no_truth", "", ""] * 2
         assert [r["detection_failed"] for r in rows] == ["1", "1", "0", "0"] * 2
+
+
+# Anchor layouts for the layout property.  The rotated pair's BS line is the
+# y axis and the stock pair's the x axis, so the pool holds, for one pair or
+# both, points on a BS, points on the BS line and mirror pairs across it; a
+# layout may draw one point twice, and one BS pair coincides.
+LAYOUT_BS_PAIRS = (
+    DEFAULT_BS,
+    (Point2D(0.0, 100.0), Point2D(0.0, -100.0)),
+    (Point2D(100.0, 0.0), Point2D(100.0, 0.0)),
+)
+LAYOUT_IRS_POOL = (
+    (100.0, 0.0),
+    (-100.0, 0.0),
+    (0.0, 100.0),
+    (0.0, 0.0),
+    (40.0, 0.0),
+    (-40.0, 0.0),
+    (0.0, 40.0),
+    (0.0, -40.0),
+    (80.0, 60.0),
+    (80.0, -60.0),
+    (-60.0, 80.0),
+    (60.0, 80.0),
+    (70.0, 40.0),
+)
+
+
+class TestLayouts:
+    """A layout is rejected where it enters, or every trial on it ends typed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bs=st.sampled_from(LAYOUT_BS_PAIRS),
+        irs=st.lists(st.sampled_from(LAYOUT_IRS_POOL), min_size=1, max_size=3),
+        k=st.integers(1, 3),
+        skip_phase1=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # coincident BSs; an IRS on a BS with a second IRS beside it, on the
+    # waveform path
+    @example(bs=LAYOUT_BS_PAIRS[2], irs=[(0.0, 40.0)], k=2, skip_phase1=True, seed=1)
+    @example(bs=DEFAULT_BS, irs=[(100.0, 0.0), (0.0, 40.0)], k=2, skip_phase1=False, seed=1)
+    def test_rejected_or_typed(self, bs, irs, k, skip_phase1, seed):
+        try:
+            cfg = ExperimentConfig(bs=bs, irs=irs, k=k, trials=1, skip_phase1=skip_phase1)
+        except ValueError as err:
+            assert str(err).startswith(("bs must", "irs must"))
+            return
+        for run in (run_trial, harness.run_baseline_trial):
+            out = run(cfg, 0, np.random.SeedSequence(seed))
+            assert out.failure is None or out.failure in FAILURE_REASONS
 
 
 class TestScoring:
@@ -449,13 +503,7 @@ class TestTopology:
             ("c2_hold", True, True),
             ("c2_fail", True, False),
         ]:
-            probe = Scene(
-                bs=DEFAULT_BS,
-                irs=variants[name],
-                targets=(variants[name][0],),
-                true_irs=(0,),
-            )
-            report = check_topology(probe)
+            report = check_topology(DEFAULT_BS, variants[name])
             assert (report.c1_ok, report.c2_ok) == (expect_c1, expect_c2), name
 
     def test_experiment_rows(self):

@@ -500,7 +500,6 @@ class TestSelection:
         order = np.random.default_rng(order_seed).permutation(len(feas.solutions))
         permuted = FeasibleSet(
             solutions=tuple(feas.solutions[i] for i in order),
-            tau=feas.tau,
             closest_irs_filter=feas.closest_irs_filter,
         )
         assert select_association(permuted, sets, scene, W, GN) == select_association(
@@ -523,7 +522,6 @@ class TestSelection:
         assert res.solution == min(feas.solutions)
         reversed_set = FeasibleSet(
             solutions=feas.solutions[::-1],
-            tau=feas.tau,
             closest_irs_filter=feas.closest_irs_filter,
         )
         assert select_association(reversed_set, sets, scene, W, GN) == res
@@ -557,7 +555,7 @@ class TestSelection:
         from irsloc.association import FeasibleSet
 
         res = select_association(
-            FeasibleSet(solutions=(), tau=1.5, closest_irs_filter=False),
+            FeasibleSet(solutions=(), closest_irs_filter=False),
             sets,
             scene,
             W,

@@ -192,9 +192,7 @@ def _snapshot(n, first, n_taps, seed, n_active, noise, power=2.0):
     y = math.sqrt(power) * s * (g @ h)
     y = y + noise * (rng.standard_normal(len(comb)) + 1j * rng.standard_normal(len(comb)))
     cfg = OfdmConfig(n_subcarriers=n, cp_len=n_taps, n_taps=n_taps)
-    snap = BsSnapshot(
-        bs=0, symbol=1, subcarriers=comb, rx=y, pilots=s, tx_power_w=power, noise_var=0.0
-    )
+    snap = BsSnapshot(subcarriers=comb, rx=y, pilots=s, tx_power_w=power)
     return snap, cfg
 
 

@@ -10,6 +10,7 @@ from irsloc.scene import (
     SceneSamplingError,
     as_point,
     bs_distance_difference,
+    check_layout,
     check_topology,
     distance,
     mirror_across_bs_line,
@@ -47,6 +48,36 @@ class TestDistance:
         assert distance((0, 0), np.array([0.0, 2.0])) == 2.0
 
 
+class TestLayoutRule:
+    @pytest.mark.parametrize(
+        "bs, irs, start",
+        [
+            ((BS[0],), ((0.0, 40.0),), "bs must"),
+            ((BS[0], BS[0]), ((0.0, 40.0),), "bs must"),
+            (BS, (), "irs must"),
+            (BS, ((0.0, 40.0), (0.0, 40.0)), "irs must"),
+            (BS, ((0.0, 40.0), BS[1]), "irs must"),
+        ],
+        ids=["one_bs", "coincident_bs", "no_irs", "duplicate_irs", "irs_on_bs"],
+    )
+    def test_every_entry_point_rejects_alike(self, bs, irs, start):
+        with pytest.raises(ValueError, match=f"^{start}"):
+            check_layout(bs, irs)
+        with pytest.raises(ValueError, match=f"^{start}"):
+            Scene(bs=bs, irs=irs, targets=((0.0, 30.0),), true_irs=(0,))
+        with pytest.raises(ValueError, match=f"^{start}"):
+            sample_targets(bs, irs, 2, 50.0, seed=1)
+
+    def test_returns_coerced_points(self):
+        bs, irs = check_layout([[100, 0], np.array([-100.0, 0.0])], [(0, 40)])
+        assert bs == BS and irs == (Point2D(0.0, 40.0),)
+        assert all(type(p) is Point2D for p in bs + irs)
+
+    def test_mirror_needs_a_bs_line(self):
+        with pytest.raises(ValueError, match="^bs must"):
+            mirror_across_bs_line((BS[0], BS[0]), (0.0, 40.0))
+
+
 class TestNearestIrs:
     def test_picks_closest(self):
         irs = (Point2D(-60, 40), Point2D(70, 40))
@@ -62,8 +93,7 @@ class TestNearestIrs:
 class TestTopology:
     def test_mirror_pair_breaks_distinct_differences(self):
         # mirror images across the BS line share their distance difference
-        scene = make_scene(((80.0, 60.0), (80.0, -60.0)), [(70.0, 50.0)], [0])
-        report = check_topology(scene)
+        report = check_topology(BS, ((80.0, 60.0), (80.0, -60.0)))
         assert report.c1_ok is True
         assert report.c2_ok is False
         assert report.offending_pairs == ((0, 1),)
@@ -71,26 +101,21 @@ class TestTopology:
 
     def test_two_on_perpendicular_bisector(self):
         # both anchors equidistant from the BSs: zero difference twice
-        scene = make_scene(((0.0, 60.0), (0.0, 90.0)), [(0.0, 50.0)], [0])
-        report = check_topology(scene)
+        report = check_topology(BS, ((0.0, 60.0), (0.0, 90.0)))
         assert report.c1_ok is False
 
     def test_broken_pair_fixed_by_moving_one(self):
-        scene = make_scene(((0.0, 60.0), (30.0, -60.0)), [(0.0, 50.0)], [0])
-        report = check_topology(scene)
+        report = check_topology(BS, ((0.0, 60.0), (30.0, -60.0)))
         assert report.c1_ok and report.c2_ok
         assert report.offending_pairs == ()
 
     def test_single_irs_always_fine(self):
-        scene = make_scene(((0.0, 40.0),), [(0.0, 30.0)], [0])
-        report = check_topology(scene)
+        report = check_topology(BS, ((0.0, 40.0),))
         assert report.c1_ok and report.c2_ok
 
     def test_difference_value(self):
         q = Point2D(30.0, 40.0)
-        scene = make_scene((q,), [(20.0, 30.0)], [0])
         expected = distance(BS[0], q) - distance(BS[1], q)
-        assert bs_distance_difference(scene, q) == pytest.approx(expected)
         assert bs_distance_difference(BS, q) == pytest.approx(expected)
 
 
