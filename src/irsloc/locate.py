@@ -10,15 +10,14 @@ ranges and sigmas become arrays once per fit, so each evaluation gives all
 residuals and the Jacobian in one array expression, and each damped 2x2
 step ``(JᵀJ + λI) s = -Jᵀr`` is solved in closed form on Python floats.
 
-Solution selection is one lexicographic depth-first search,
-``lexmin_select``, shared with the three-active-BS baseline.  It extends a
-partial solution one target at a time, fits each distinct tuple it reaches
-once, and cuts the branch below any tuple whose fit residual reaches a
-threshold, so a solution holding such a tuple is never completed.  The
-surviving solution with the smallest total residual wins, ties broken
-lexicographically.  If pruning eliminates everything the search repeats
-without the threshold, so a localization answer always exists whenever the
-feasible set is nonempty.
+Solution selection is one memoized recursion over a search tree,
+``lexmin_select``, shared with the three-active-BS baseline.  A tree level
+is one target; each distinct tuple reached is fit once, and a tuple whose
+fit residual reaches a threshold cuts its branch, so a solution holding
+such a tuple is never completed.  The surviving solution with the smallest
+total residual wins, ties broken lexicographically.  If pruning eliminates
+everything the recursion repeats without the threshold, so a localization
+answer always exists whenever the feasible set is nonempty.
 """
 
 import functools
@@ -257,44 +256,40 @@ class LocalizationResult:
 def lexmin_select(
     k: int, root, children, fit, threshold: float, n_solutions: int
 ) -> LocalizationResult:
-    """Lexicographically first minimum-total-residual path, by depth-first search.
+    """Lexicographically first minimum-total-residual path, by memoized recursion.
 
     The tree is ``k`` levels deep; ``children(node)`` yields ``(tuple,
-    child)`` pairs in lexicographic order.  ``fit`` fits one tuple and runs
-    once per distinct tuple reached.  A tuple whose residual reaches
-    ``threshold`` cuts its branch.  Totals are summed left to right from
-    0.0 and only a strictly smaller total replaces the best, so the first
-    minimum in lexicographic order wins.  When no path survives and the
-    tree has any of its ``n_solutions`` paths, the search repeats without
-    the threshold.
+    child)`` pairs in lexicographic order, and equal nodes root equal
+    subtrees.  ``walk`` runs once per distinct node and returns its
+    subtree's number of complete paths whose every tuple stays below
+    ``threshold``, their smallest total residual and the first path with
+    that total.  ``fit`` runs once per distinct tuple reached.  Totals are
+    summed from the last level up, and only a strictly smaller total
+    replaces a node's best, so the first minimum in lexicographic order
+    wins.  When no path survives and the tree has any of its
+    ``n_solutions`` paths, a second walk drops the threshold.
     """
     solve = functools.cache(fit)
-    best = None
-    best_total = math.inf
-    survivors = 0
-    partial = []
 
-    def search(node, total: float, enforce: bool) -> None:
-        nonlocal best, best_total, survivors
-        if len(partial) == k:
-            if enforce:
-                survivors += 1
-            if total < best_total:
-                best_total = total
-                best = tuple(partial)
-            return
+    @functools.cache
+    def walk(node, depth: int, enforce: bool):
+        if depth == k:
+            return 1, 0.0, ()
+        survivors, best_total, best = 0, math.inf, None
         for t, child in children(node):
             residual = solve(t).residual
             if enforce and residual >= threshold:
                 continue
-            partial.append(t)
-            search(child, total + residual, enforce)
-            partial.pop()
+            count, total, path = walk(child, depth + 1, enforce)
+            survivors += count
+            if residual + total < best_total:
+                best_total, best = residual + total, (t,) + path
+        return survivors, best_total, best
 
-    search(root, 0.0, True)
+    survivors, _, best = walk(root, 0, True)
     fallback = best is None and n_solutions > 0
     if fallback:
-        search(root, 0.0, False)
+        best = walk(root, 0, False)[2]
     stats = SolveStats(n_solutions, survivors, solve.cache_info().currsize, fallback)
     estimates = () if best is None else tuple(solve(t) for t in best)
     return LocalizationResult(solution=best, estimates=estimates, stats=stats)

@@ -95,7 +95,7 @@ def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
     Raises ValueError starting ``bs must`` unless there are exactly two BSs
     at distinct points (so the BS line is defined), and one starting ``irs
     must`` unless there is at least one IRS, no two IRSs share a point and
-    no IRS sits on a BS.
+    no IRS sits on a BS, or so near one that their squared distance is 0.0.
     """
     bs = tuple(as_point(p) for p in bs)
     irs = tuple(as_point(p) for p in irs)
@@ -106,7 +106,8 @@ def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
         raise ValueError("irs must hold at least one surface")
     if len(set(irs)) != len(irs):
         raise ValueError("irs must hold distinct positions")
-    if any(q in bs for q in irs):
+    # a square that underflows to 0.0 would divide by zero in the echo gains
+    if any(distance(b, q) ** 2 == 0.0 for b in bs for q in irs):
         raise ValueError("irs must not sit on a base station")
     return bs, irs
 

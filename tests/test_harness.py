@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -272,11 +273,14 @@ class TestFailures:
 # Anchor layouts for the layout property.  The rotated pair's BS line is the
 # y axis and the stock pair's the x axis, so the pool holds, for one pair or
 # both, points on a BS, points on the BS line and mirror pairs across it; a
-# layout may draw one point twice, and one BS pair coincides.
+# layout may draw one point twice, and one BS pair coincides.  The last pair
+# has a BS at the origin, so the pool's tiny offsets from it sit 1e-170 m
+# (its squared distance underflows to 0.0) and 1e-13 m from a BS.
 LAYOUT_BS_PAIRS = (
     DEFAULT_BS,
     (Point2D(0.0, 100.0), Point2D(0.0, -100.0)),
     (Point2D(100.0, 0.0), Point2D(100.0, 0.0)),
+    (Point2D(0.0, 0.0), Point2D(200.0, 0.0)),
 )
 LAYOUT_IRS_POOL = (
     (100.0, 0.0),
@@ -292,6 +296,9 @@ LAYOUT_IRS_POOL = (
     (-60.0, 80.0),
     (60.0, 80.0),
     (70.0, 40.0),
+    (1e-170, 0.0),
+    (1e-13, 0.0),
+    (100.0, 40.0),
 )
 
 
@@ -302,14 +309,21 @@ class TestLayouts:
     @given(
         bs=st.sampled_from(LAYOUT_BS_PAIRS),
         irs=st.lists(st.sampled_from(LAYOUT_IRS_POOL), min_size=1, max_size=3),
-        k=st.integers(1, 3),
+        k=st.integers(1, 6),
         skip_phase1=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    # coincident BSs; an IRS on a BS with a second IRS beside it, on the
-    # waveform path
+    # coincident BSs; an IRS on a BS with a second IRS beside it, and one
+    # whose squared distance to a BS underflows, on the waveform path
     @example(bs=LAYOUT_BS_PAIRS[2], irs=[(0.0, 40.0)], k=2, skip_phase1=True, seed=1)
     @example(bs=DEFAULT_BS, irs=[(100.0, 0.0), (0.0, 40.0)], k=2, skip_phase1=False, seed=1)
+    @example(
+        bs=LAYOUT_BS_PAIRS[3],
+        irs=[(1e-170, 0.0), (100.0, 40.0)],
+        k=2,
+        skip_phase1=False,
+        seed=1,
+    )
     def test_rejected_or_typed(self, bs, irs, k, skip_phase1, seed):
         try:
             cfg = ExperimentConfig(bs=bs, irs=irs, k=k, trials=1, skip_phase1=skip_phase1)
@@ -702,8 +716,19 @@ class TestBaseline:
         outcomes = baseline_3bs(cfg)
         assert len(outcomes) == 5
         assert error_probability(outcomes, 0.8) <= 1.0
-        with pytest.raises(ValueError):
-            baseline_3bs(default_config(1, k=8, trials=1))
+        # no K limit: prefixes that use the same slots share one search node
+        (big,) = baseline_3bs(default_config(1, k=8, trials=1))
+        assert big.k == 8 and big.failure is None
+
+    def test_forced_fallback_at_k7_within_budget(self):
+        # the unpruned walk visits C(14, 7) nodes, not the (7!)² paths a
+        # plain depth-first search walks
+        cfg = default_config(1, k=7, trials=1, seed=2, gn=FORCED_FALLBACK)
+        start = time.perf_counter()
+        outcome = harness.run_baseline_trial(cfg, 0, np.random.SeedSequence(2))
+        assert time.perf_counter() - start < 5.0
+        assert outcome.fallback and outcome.n_survivors == 0
+        assert len(outcome.est_positions) == 7 and None not in outcome.est_positions
 
     @pytest.mark.parametrize(
         "k, oracle, gn",
@@ -872,3 +897,15 @@ class TestCli:
         assert main(argv + ["--seed", "0"]) == 0
         assert main(argv) == 0
         assert seen == [0, 1]
+
+
+class TestReadme:
+    def test_library_example_prints_one_line_per_target(self, capsys):
+        # the README's python block must run as written and localize every
+        # target of its scene
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+        namespace = {}
+        exec(block, namespace)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == namespace["cfg"].k

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from irsloc import locate
 from irsloc.association import FeasibleSet, enumerate_feasible, ground_truth_solution
-from irsloc.harness import DEFAULT_IRS_LAYOUTS
+from irsloc.harness import DEFAULT_IRS_LAYOUTS, _free_slot_children
 from irsloc.locate import (
     GnConfig,
     LocEstimate,
@@ -18,6 +19,7 @@ from irsloc.locate import (
     default_init,
     fit_position,
     gauss_newton_solve,
+    lexmin_select,
     localize,
     residual_terms,
     select_association,
@@ -433,6 +435,72 @@ class TestFitOracle:
         assert len(res.estimates) == len(estimates)
         for est, ref in zip(res.estimates, estimates):
             assert_fit_matches(est, ref, threshold)
+
+
+def brute_force_lexmin(k, residual, threshold):
+    """``lexmin_select`` on the free-slot tree by listing every path.
+
+    Paths pair target rank ``i`` with slots ``p2[i]`` and ``p3[i]`` for
+    every two permutations, in lexicographic order.  Returns the chosen
+    path, the survivor count, the fallback flag and the tuples a search
+    reaches: every tuple whose path prefix passes the threshold, or every
+    tuple once the fallback runs.
+    """
+    paths = sorted(
+        tuple(zip(range(k), p2, p3))
+        for p2 in itertools.permutations(range(k))
+        for p3 in itertools.permutations(range(k))
+    )
+
+    def passes(ts):
+        return all(residual[t] < threshold for t in ts)
+
+    survivors = [p for p in paths if passes(p)]
+    fallback = not survivors
+    pool = paths if fallback else survivors
+    best = min(pool, key=lambda p: sum(residual[t] for t in p))
+    reached = {
+        p[level]
+        for p in paths
+        for level in range(k)
+        if fallback or passes(p[:level])
+    }
+    return best, len(survivors), fallback, reached
+
+
+class TestLexminSelect:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 4),
+        threshold=st.sampled_from((1e-12, 0.5, 8.0, 16.0)),
+    )
+    def test_matches_brute_force_on_free_slot_trees(self, data, k, threshold):
+        # residuals on a 0.25 lattice make every total exact in any summing
+        # order, so the recursion's suffix sums and the listing's sums agree
+        tuples = list(itertools.product(range(k), repeat=3))
+        lattice = st.integers(0, 80).map(lambda n: n / 4.0)
+        values = data.draw(st.lists(lattice, min_size=len(tuples), max_size=len(tuples)))
+        residual = dict(zip(tuples, values))
+        calls = []
+
+        def fit(t):
+            calls.append(t)
+            return LocEstimate(Point2D(0.0, 0.0), residual[t], True, 1)
+
+        slots = tuple(range(k))
+        n_paths = math.factorial(k) ** 2
+        res = lexmin_select(
+            k, (0, slots, slots), _free_slot_children, fit, threshold, n_paths
+        )
+        best, survivors, fallback, reached = brute_force_lexmin(k, residual, threshold)
+        assert res.solution == best
+        assert [e.residual for e in res.estimates] == [residual[t] for t in best]
+        assert res.stats.n_solutions == n_paths
+        assert res.stats.n_survivors == survivors
+        assert res.stats.fallback is fallback
+        assert len(calls) == len(set(calls)) == res.stats.solver_calls
+        assert set(calls) == reached
 
 
 class TestSelection:

@@ -57,8 +57,16 @@ class TestLayoutRule:
             (BS, (), "irs must"),
             (BS, ((0.0, 40.0), (0.0, 40.0)), "irs must"),
             (BS, ((0.0, 40.0), BS[1]), "irs must"),
+            (((0.0, 0.0), (200.0, 0.0)), ((1e-170, 0.0), (100.0, 40.0)), "irs must"),
         ],
-        ids=["one_bs", "coincident_bs", "no_irs", "duplicate_irs", "irs_on_bs"],
+        ids=[
+            "one_bs",
+            "coincident_bs",
+            "no_irs",
+            "duplicate_irs",
+            "irs_on_bs",
+            "irs_square_underflows_on_bs",
+        ],
     )
     def test_every_entry_point_rejects_alike(self, bs, irs, start):
         with pytest.raises(ValueError, match=f"^{start}"):
@@ -72,6 +80,15 @@ class TestLayoutRule:
         bs, irs = check_layout([[100, 0], np.array([-100.0, 0.0])], [(0, 40)])
         assert bs == BS and irs == (Point2D(0.0, 40.0),)
         assert all(type(p) is Point2D for p in bs + irs)
+
+    def test_near_bs_means_a_zero_squared_distance(self):
+        # 1e-162 m squares to 0.0 and would divide by zero in the echo
+        # gains; 1e-160 m and 1e-13 m square to nonzero values and still run
+        bs = ((0.0, 0.0), (200.0, 0.0))
+        with pytest.raises(ValueError, match="^irs must not sit on a base station"):
+            check_layout(bs, ((1e-162, 0.0), (100.0, 40.0)))
+        for offset in (1e-160, 1e-13):
+            check_layout(bs, ((offset, 0.0), (100.0, 40.0)))
 
     def test_mirror_needs_a_bs_line(self):
         with pytest.raises(ValueError, match="^bs must"):
