@@ -22,10 +22,12 @@ ranges they agree within three half range cells, hence the tolerance knob.
 A second, optional filter intersects the two direct-range circles and keeps
 only hypotheses whose IRS is nearest to one of the two intersection points.
 
-Localization lists the feasible solutions (``enumerate_feasible``);
-counting does not: ``feasible_counts`` memoizes the number of completions
-per set of used list entries, so its cost grows with those sets, not with
-the number of solutions.
+Localization and counting list no solution.  ``candidate_picks`` evaluates
+the gap once per scene and keeps each target's passing picks with a mask of
+the list entries they use; ``completion_counts`` memoizes the number of
+ways to finish a solution per set of used entries, so its cost grows with
+those sets, not with the number of solutions.  ``enumerate_feasible`` lists
+the same solutions, as the reference the engine is checked against.
 """
 
 import functools
@@ -62,10 +64,9 @@ class AssociationTuple:
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Enumerated solutions plus bookkeeping about the filters applied."""
+    """Listed feasible solutions."""
 
     solutions: tuple[tuple[AssociationTuple, ...], ...]
-    closest_irs_filter: bool
 
 
 def is_valid_solution(solution, k: int, r: int) -> bool:
@@ -175,108 +176,64 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
     return functools.cache(functools.partial(closest_irs_candidates, scene, sets))
 
 
-def _gap_operands(sets: RangeSets, scene: Scene, tau: float):
-    """``(k, a1, a2, bi_gap)``, with ``a_m[d, v] = via_m[v] - direct_m[d] / 2``.
+def _gap_grid(sets: RangeSets, scene: Scene, tau: float):
+    """``(k, gaps)``: the consistency gap of every pick in one array.
 
-    A pick's gap is ``|a1[direct1, via1] - a2[direct2, via2] - bi_gap[irs]|``
-    in this float order: quantized layouts put many gaps exactly on ``tau``.
+    ``gaps[direct1, direct2, via1, via2, irs]`` is evaluated in this float
+    order, ``((via1 - direct1/2) - (via2 - direct2/2)) - (d1 - d2)`` with
+    ``d_m`` the BS-to-IRS distance: quantized layouts put many gaps exactly
+    on ``tau``.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     k = len(sets.direct[0])
     if not sets.balanced(k):
         raise ValueError(f"unbalanced range lists {sets.counts()}; need K entries each")
-
     d1, d2 = (np.asarray(d) for d in sets.direct)
     v1, v2 = (np.asarray(v) for v in sets.via_irs)
     d_bi = np.array([[distance(b, q) for q in scene.irs] for b in scene.bs])
     a1 = v1[None, :] - 0.5 * d1[:, None]
     a2 = v2[None, :] - 0.5 * d2[:, None]
-    return k, a1, a2, d_bi[0] - d_bi[1]
+    bi_gap = d_bi[0] - d_bi[1]
+    return k, np.abs(a1[:, None, :, None, None] - a2[None, :, None, :, None] - bi_gap)
 
 
-def enumerate_feasible(
-    sets: RangeSets,
-    scene: Scene,
-    tau: float,
-    use_closest_irs: bool = False,
-) -> FeasibleSet:
-    """Depth-first enumeration of consistency-feasible solutions.
+def entry_mask(t: AssociationTuple, k: int) -> int:
+    """One bit each for ``t``'s direct2, via1 and via2 entry in a 3K-bit int."""
+    return 1 << t.direct2 | 1 << (k + t.via1) | 1 << (2 * k + t.via2)
 
-    Targets are taken in BS 1 direct-list order, so level ``k`` pins
-    ``direct1 = k`` and branches over unused picks of the other three lists
-    and over serving IRSs.  Each node evaluates the consistency gap over its
-    whole free (direct2, via1, via2, irs) grid in one array expression and
-    cuts every pick whose gap reaches ``tau`` (same exclusive boundary as
-    consistency_check).  Candidates are visited in order of increasing gap,
-    ties broken by index, which makes the output order deterministic.  With
+
+def candidate_picks(sets: RangeSets, scene: Scene, tau: float, use_closest_irs: bool = False):
+    """Each level's passing picks as ``(AssociationTuple, entry_mask)`` pairs.
+
+    Level ``i`` pins ``direct1 = i``; its picks are the (direct2, via1,
+    via2, irs) whose gap stays strictly below ``tau`` (same exclusive
+    boundary as consistency_check), in lexicographic order.  With
     ``use_closest_irs``, picks that fail the nearest-surface rule
     (``closest_irs_rule``) are cut as well.
     """
-    k, a1, a2, bi_gap = _gap_operands(sets, scene, tau)
+    k, gaps = _gap_grid(sets, scene, tau)
     allowed = closest_irs_rule(scene, sets) if use_closest_irs else None
-
-    solutions: list[tuple[AssociationTuple, ...]] = []
-    partial: list[AssociationTuple] = []
-    free_d2 = [True] * k
-    free_v1 = [True] * k
-    free_v2 = [True] * k
-
-    def recurse(level: int) -> None:
-        if level == k:
-            solutions.append(tuple(partial))
-            return
-        d2_idx = np.array([j for j in range(k) if free_d2[j]])
-        v1_idx = np.array([j for j in range(k) if free_v1[j]])
-        v2_idx = np.array([j for j in range(k) if free_v2[j]])
-        gaps = np.abs(
-            a1[level, v1_idx][None, :, None, None]
-            - a2[d2_idx[:, None], v2_idx][:, None, :, None]
-            - bi_gap
-        )
-        keep = gaps < tau
-        jj, ia, ib, gg = keep.nonzero()
-        candidates = zip(
-            gaps[keep].tolist(),
-            d2_idx[jj].tolist(),
-            v1_idx[ia].tolist(),
-            v2_idx[ib].tolist(),
-            gg.tolist(),
-        )
-        if allowed is not None:
-            candidates = [c for c in candidates if c[4] in allowed(level, c[1])]
-        for _, j, via1, via2, g in sorted(candidates):
-            partial.append(
-                AssociationTuple(direct1=level, direct2=j, via1=via1, via2=via2, irs=g)
-            )
-            free_d2[j] = free_v1[via1] = free_v2[via2] = False
-            recurse(level + 1)
-            free_d2[j] = free_v1[via1] = free_v2[via2] = True
-            partial.pop()
-
-    recurse(0)
-    return FeasibleSet(solutions=tuple(solutions), closest_irs_filter=use_closest_irs)
-
-
-def feasible_counts(sets: RangeSets, scene: Scene, tau: float, keep=None) -> tuple[int, int]:
-    """``(n_feasible, n_kept)`` without listing a solution.
-
-    ``n_feasible`` is ``len(enumerate_feasible(sets, scene, tau).solutions)``
-    and ``n_kept`` counts the feasible solutions whose every tuple passes
-    ``keep`` (all of them for None).  The gap is evaluated once over the
-    whole (direct1, direct2, via1, via2, irs) grid; each passing pick gets a
-    mask with one bit for its direct2, via1 and via2 entry in a 3K-bit int.
-    Completions depend only on the used entries, so one memoized recursion
-    over that mask counts them (a subset DP, as in Held and Karp 1962).
-    ``keep`` runs at most once per tuple, and only where the entries left
-    have kept completions, so a costly predicate skips dead ends.
-    """
-    k, a1, a2, bi_gap = _gap_operands(sets, scene, tau)
-    gaps = np.abs(a1[:, None, :, None, None] - a2[None, :, None, :, None] - bi_gap)
     picks = [[] for _ in range(k)]
     for i, j, a, b, g in zip(*(idx.tolist() for idx in (gaps < tau).nonzero())):
-        mask = 1 << j | 1 << (k + a) | 1 << (2 * k + b)
-        picks[i].append((AssociationTuple(i, j, a, b, g), mask))
+        if allowed is None or g in allowed(i, j):
+            t = AssociationTuple(i, j, a, b, g)
+            picks[i].append((t, entry_mask(t, k)))
+    return picks
+
+
+def completion_counts(picks, keep=None):
+    """Memoized ``count(used) -> (n_all, n_kept)`` over a pick table.
+
+    ``used`` is the union of the entry masks picked so far.  ``n_all``
+    counts the ways to finish the remaining levels without reusing an
+    entry, and ``n_kept`` those whose every tuple passes ``keep`` (all for
+    None); ``count(0)`` counts whole solutions.  Completions depend only on
+    the used entries, hence the memo (a subset DP, as in Held and Karp
+    1962).  ``keep`` runs at most once per tuple, and only where the entries
+    left have kept completions, so a costly predicate skips dead ends.
+    """
+    k = len(picks)
     passes = functools.cache(keep) if keep is not None else None
 
     @functools.cache
@@ -293,7 +250,49 @@ def feasible_counts(sets: RangeSets, scene: Scene, tau: float, keep=None) -> tup
                     n_kept += sub_kept
         return n_all, n_kept
 
-    return count(0)
+    return count
+
+
+def enumerate_feasible(
+    sets: RangeSets, scene: Scene, tau: float, use_closest_irs: bool = False
+) -> FeasibleSet:
+    """Every feasible solution, listed by depth-first search, in lexicographic order.
+
+    Level ``k`` pins ``direct1 = k`` and branches over the picks of the
+    other three lists that are still free, reading their block of the gap
+    grid, and over serving IRSs; it keeps the picks of ``candidate_picks``.
+    Localization and counting list nothing: this is the listed reference.
+    """
+    k, gaps = _gap_grid(sets, scene, tau)
+    allowed = closest_irs_rule(scene, sets) if use_closest_irs else None
+
+    solutions: list[tuple[AssociationTuple, ...]] = []
+    partial: list[AssociationTuple] = []
+    free_d2 = [True] * k
+    free_v1 = [True] * k
+    free_v2 = [True] * k
+
+    def recurse(level: int) -> None:
+        if level == k:
+            solutions.append(tuple(partial))
+            return
+        d2_idx = np.array([j for j in range(k) if free_d2[j]])
+        v1_idx = np.array([j for j in range(k) if free_v1[j]])
+        v2_idx = np.array([j for j in range(k) if free_v2[j]])
+        jj, ia, ib, gg = (gaps[level][np.ix_(d2_idx, v1_idx, v2_idx)] < tau).nonzero()
+        for j, via1, via2, g in zip(
+            d2_idx[jj].tolist(), v1_idx[ia].tolist(), v2_idx[ib].tolist(), gg.tolist()
+        ):
+            if allowed is not None and g not in allowed(level, j):
+                continue
+            partial.append(AssociationTuple(level, j, via1, via2, g))
+            free_d2[j] = free_v1[via1] = free_v2[via2] = False
+            recurse(level + 1)
+            free_d2[j] = free_v1[via1] = free_v2[via2] = True
+            partial.pop()
+
+    recurse(0)
+    return FeasibleSet(solutions=tuple(solutions))
 
 
 def brute_force_solutions(k: int, r: int):

@@ -56,12 +56,13 @@ from .ranging import (
 )
 from .association import (
     AssociationTuple,
+    candidate_picks,
     circle_intersections,
     claim_slot,
     closest_irs_rule,
+    completion_counts,
     count_unfiltered_solutions,
     enumerate_feasible,
-    feasible_counts,
     ground_truth_solution,
     rank_order,
     solutions_equivalent,
@@ -419,7 +420,7 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
     reduction stage: the feasible solutions whose every tuple fits below
     ``cfg.gn.residual_threshold`` for a single IRS (``select_association``'s
     survivors) or passes ``closest_irs_rule`` for several.  One
-    ``feasible_counts`` call per scene gives both, listing no solution.
+    ``completion_counts`` call per scene gives both, listing no solution.
     Unplaceable scenes are skipped and counted in ``sampling_failures``; the
     means are over the placed scenes, NaN when there are none.
     """
@@ -441,9 +442,9 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
                 sampling_failures += 1
                 continue
             sets = RangeSets.from_geometry(scene, cell_m=kcfg.ofdm.cell_m)
-            n_feasible, n_kept = feasible_counts(
-                sets, scene, kcfg.tau_m, _second_stage(kcfg, scene, sets)
-            )
+            n_feasible, n_kept = completion_counts(
+                candidate_picks(sets, scene, kcfg.tau_m), _second_stage(kcfg, scene, sets)
+            )(0)
             feas.append(n_feasible)
             reduced.append(n_kept)
         mean_feasible, se_feasible = _mean_and_se(feas)

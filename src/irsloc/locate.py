@@ -17,7 +17,10 @@ fit residual reaches a threshold cuts its branch, so a solution holding
 such a tuple is never completed.  The surviving solution with the smallest
 total residual wins, ties broken lexicographically.  If pruning eliminates
 everything the recursion repeats without the threshold, so a localization
-answer always exists whenever the feasible set is nonempty.
+answer always exists whenever the feasible set is nonempty.  Localization
+builds the tree from the scene's pick table: a node is the set of list
+entries used so far, and a pick is a child only when the entries it leaves
+can still complete a solution, so no feasible set is listed.
 """
 
 import functools
@@ -31,8 +34,10 @@ from .ranging import RangeSets
 from .association import (
     AssociationTuple,
     FeasibleSet,
+    candidate_picks,
     circle_intersections,
-    enumerate_feasible,
+    completion_counts,
+    entry_mask,
     irs_range_estimate,
 )
 
@@ -295,57 +300,56 @@ def lexmin_select(
     return LocalizationResult(solution=best, estimates=estimates, stats=stats)
 
 
-def select_association(
-    feasible: FeasibleSet,
-    sets: RangeSets,
-    scene: Scene,
-    w: ResidualWeights,
-    cfg: GnConfig,
-) -> LocalizationResult:
-    """Pick the minimum-total-residual solution with threshold pruning.
+def _select(picks, sets: RangeSets, scene: Scene, w: ResidualWeights, cfg: GnConfig):
+    """``lexmin_select`` over a pick table, one node per set of used entries.
 
-    ``lexmin_select`` walks the sorted solutions as a prefix tree: a node at
-    level ``L`` is a run of consecutive solutions sharing their first ``L``
-    tuples, and its children are the runs that also share tuple ``L``.  A
-    tuple whose residual reaches ``cfg.residual_threshold`` cuts every
-    solution in its run.
+    A node's children are the next level's picks that use no entry of the
+    node and leave completions (``completion_counts``), so the tree holds
+    exactly the solutions the table counts, and none is listed.
     """
-    ordered = sorted(feasible.solutions)
+    count = completion_counts(picks)
 
-    def children(node):
-        level, lo, hi = node
-        while lo < hi:
-            t = ordered[lo][level]
-            end = lo + 1
-            while end < hi and ordered[end][level] == t:
-                end += 1
-            yield t, (level + 1, lo, end)
-            lo = end
+    def children(used):
+        for t, mask in picks[used.bit_count() // 3]:
+            if not used & mask and count(used | mask)[0]:
+                yield t, used | mask
 
-    # one level per target, not per tuple of some solution: with no solutions
-    # a zero-depth tree would make the root itself an empty answer
-    return lexmin_select(
-        len(sets.direct[0]),
-        (0, 0, len(ordered)),
-        children,
-        lambda t: gauss_newton_solve(sets, t, scene, w, cfg),
-        cfg.residual_threshold,
-        len(ordered),
-    )
+    def fit(t):
+        return gauss_newton_solve(sets, t, scene, w, cfg)
+
+    return lexmin_select(len(picks), 0, children, fit, cfg.residual_threshold, count(0)[0])
+
+
+def select_association(
+    feasible: FeasibleSet, sets: RangeSets, scene: Scene, w: ResidualWeights, cfg: GnConfig
+) -> LocalizationResult:
+    """Pick the minimum-total-residual solution of a listed feasible set.
+
+    Selection runs on the table of each level's distinct listed tuples.
+    That table's solutions are the listed ones whenever the list holds every
+    distinct solution the table makes, as an ``enumerate_feasible`` set
+    does; otherwise the counts differ and ``ValueError`` is raised, so no
+    unlisted solution is ever returned.
+    """
+    k = len(sets.direct[0])
+    picks = [
+        [(t, entry_mask(t, k)) for t in sorted({sol[level] for sol in feasible.solutions})]
+        for level in range(k)
+    ]
+    result = _select(picks, sets, scene, w, cfg)
+    if result.stats.n_solutions != len(feasible.solutions):
+        raise ValueError(f"listed tuples make {result.stats.n_solutions} solutions")
+    return result
 
 
 def localize(
-    sets: RangeSets,
-    scene: Scene,
-    tau: float,
-    w: ResidualWeights,
-    cfg: GnConfig,
+    sets: RangeSets, scene: Scene, tau: float, w: ResidualWeights, cfg: GnConfig
 ) -> LocalizationResult:
     """Consistency filter, then pruned selection: the localization entry point.
 
-    With several IRSs the closest-IRS filter also runs ahead of selection.
-    With a single IRS that filter could only discard hypotheses the
-    selection needs, so it is skipped.
+    Selection runs on the scene's ``candidate_picks`` and lists nothing.
+    With several IRSs the closest-IRS filter also cuts picks ahead of
+    selection.  With a single IRS that filter could only discard hypotheses
+    the selection needs, so it is skipped.
     """
-    feasible = enumerate_feasible(sets, scene, tau, use_closest_irs=scene.n_irs > 1)
-    return select_association(feasible, sets, scene, w, cfg)
+    return _select(candidate_picks(sets, scene, tau, scene.n_irs > 1), sets, scene, w, cfg)

@@ -213,7 +213,6 @@ class RangeSets:
     via_irs: tuple[tuple[float, ...], tuple[float, ...]]
     direct_bins: tuple[frozenset[int], frozenset[int]] | None = None
     via_bins: tuple[frozenset[int], frozenset[int]] | None = None
-    irs_bins: tuple[frozenset[int], frozenset[int]] | None = None
 
     def __post_init__(self):
         for group in (self.direct, self.via_irs):
@@ -287,5 +286,4 @@ def build_range_sets(
         via_irs=(via[0], via[1]),
         direct_bins=(d_bins[0], d_bins[1]),
         via_bins=(v_bins[0], v_bins[1]),
-        irs_bins=known,
     )

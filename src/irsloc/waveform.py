@@ -147,8 +147,6 @@ class PathTap:
     gain: complex
     link: LinkType
     bs: int
-    target: int | None = None
-    irs: int | None = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
     for m, bs_pos in enumerate(scene.bs):
         taps: list[PathTap] = []
 
-        def add(length_m, amp, link, target=None, irs=None, key=()):
+        def add(length_m, amp, link, key):
             l = path_delay(length_m, cfg)
             if l >= cfg.n_taps:
                 raise DelayWindowError(
@@ -204,8 +202,6 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
                     gain=amp * complex(math.cos(phase), math.sin(phase)),
                     link=link,
                     bs=m,
-                    target=target,
-                    irs=irs,
                 )
             )
 
@@ -217,7 +213,6 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
                 2.0 * d_bt,
                 math.sqrt(cfg.bs_reflect_gain) / d_bt**2,
                 LinkType.TARGET_ECHO,
-                target=k,
                 key=(1, k),
             )
         if symbol >= 2:
@@ -227,7 +222,6 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
                     2.0 * d_bi,
                     math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain) / d_bi**2,
                     LinkType.IRS_ECHO,
-                    irs=r,
                     key=(2, r),
                 )
             for k, t in enumerate(scene.targets):
@@ -243,8 +237,6 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
                     math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain)
                     / (d_bt * d_it * d_bi),
                     LinkType.TARGET_VIA_IRS,
-                    target=k,
-                    irs=r,
                     key=(3, k),
                 )
         per_bs.append(tuple(taps))

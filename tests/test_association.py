@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,14 +10,15 @@ from irsloc.association import (
     AssociationTuple,
     FeasibleSet,
     brute_force_solutions,
+    candidate_picks,
     circle_intersections,
     closest_irs_candidates,
     closest_irs_rule,
+    completion_counts,
     consistency_check,
     consistency_gap,
     count_unfiltered_solutions,
     enumerate_feasible,
-    feasible_counts,
     ground_truth_solution,
     irs_range_estimate,
     is_valid_solution,
@@ -57,8 +59,9 @@ def reference_enumerate(
 
     Each node loops over the free ``direct2`` picks and evaluates the gap
     over that pick's (via1, via2, irs) grid; the nearest-surface rule is a
-    per-pick memo of ``closest_irs_candidates``.  ``enumerate_feasible`` must
-    return the same solutions in the same order.
+    per-pick memo of ``closest_irs_candidates``.  Solutions come out in
+    lexicographic order, and ``enumerate_feasible`` must return the same
+    solutions in the same order.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -104,7 +107,7 @@ def reference_enumerate(
         v2_idx = [j for j in range(k) if free_v2[j]]
         candidates = []
         for j in d2_idx:
-            gammas = [g for g in allowed_irs(level, j)]
+            gammas = sorted(allowed_irs(level, j))
             if not gammas:
                 continue
             # gap over the (via1, via2, irs) grid for this (direct1, direct2)
@@ -114,11 +117,9 @@ def reference_enumerate(
                 - bi_gap[gammas][None, None, :]
             )
             for ia, ib, ig in np.argwhere(gaps < tau):
-                candidates.append(
-                    (float(gaps[ia, ib, ig]), j, v1_idx[ia], v2_idx[ib], gammas[ig])
-                )
+                candidates.append((j, v1_idx[ia], v2_idx[ib], gammas[ig]))
         candidates.sort()
-        for _, j, via1, via2, g in candidates:
+        for j, via1, via2, g in candidates:
             partial.append(
                 AssociationTuple(direct1=level, direct2=j, via1=via1, via2=via2, irs=g)
             )
@@ -128,7 +129,12 @@ def reference_enumerate(
             partial.pop()
 
     recurse(0)
-    return FeasibleSet(solutions=tuple(solutions), closest_irs_filter=use_closest_irs)
+    return FeasibleSet(solutions=tuple(solutions))
+
+
+def counts(sets, scene, tau, keep=None):
+    """``(n_feasible, n_kept)`` of a scene from its pick table."""
+    return completion_counts(candidate_picks(sets, scene, tau), keep)(0)
 
 
 class TestCounts:
@@ -290,7 +296,6 @@ class TestEnumeration:
             full_set = {tuple(s) for s in full.solutions}
             reduced_set = {tuple(s) for s in reduced.solutions}
             assert reduced_set <= full_set
-            assert reduced.closest_irs_filter is True
             truth = ground_truth_solution(scene, sets, cell_m=0.75)
             if any(solutions_equivalent(sets, sol, truth) for sol in reduced.solutions):
                 retained += 1
@@ -317,6 +322,7 @@ class TestEnumeration:
         got = enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest)
         want = reference_enumerate(sets, scene, tau=1.5, use_closest_irs=closest)
         assert got.solutions == want.solutions
+        assert list(got.solutions) == sorted(got.solutions)
 
     @settings(max_examples=30, deadline=None)
     @given(scene_args=stock_scenes(3), closest=st.booleans())
@@ -345,7 +351,7 @@ class TestEnumeration:
     def test_closest_filter_restricts_the_plain_set(self, scene_args):
         # the pruned search is the plain search with branches cut, so the
         # plain set restricted to the nearest-surface rule is the pruned set,
-        # order included; feasible_counts' per-tuple ``keep`` relies on it
+        # order included; completion_counts' per-tuple ``keep`` relies on it
         scene, sets = stock_scene_and_sets(*scene_args)
         plain = enumerate_feasible(sets, scene, tau=1.5)
         restricted = tuple(
@@ -367,9 +373,9 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_feasible(lopsided, scene, tau=1.0)
         with pytest.raises(ValueError):
-            feasible_counts(sets, scene, tau=-1.0)
+            candidate_picks(sets, scene, tau=-1.0)
         with pytest.raises(ValueError):
-            feasible_counts(lopsided, scene, tau=1.0)
+            candidate_picks(lopsided, scene, tau=1.0)
 
     def test_ideal_ranges_leave_only_equivalent_solutions(self):
         # with exact ranges and a vanishing tolerance every survivor picks
@@ -384,23 +390,47 @@ class TestEnumeration:
 
 
 class TestFeasibleCounts:
-    """``feasible_counts`` against the listed feasible set and the selection search."""
+    """The pick table and its completion count against the listed feasible set."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(scene_args=stock_scenes(5), closest=st.booleans())
+    def test_picks_are_the_passing_tuples_in_order(self, scene_args, closest):
+        scene, sets = stock_scene_and_sets(*scene_args)
+        k, r = scene.n_targets, scene.n_irs
+        picks = candidate_picks(sets, scene, tau=1.5, use_closest_irs=closest)
+        assert len(picks) == k
+        for level, row in enumerate(picks):
+            want = [
+                t
+                for t in itertools.starmap(
+                    AssociationTuple, itertools.product([level], *[range(k)] * 3, range(r))
+                )
+                if consistency_check(sets, t, scene, 1.5)
+                and (
+                    not closest
+                    or t.irs in closest_irs_candidates(scene, sets, t.direct1, t.direct2)
+                )
+            ]
+            assert [t for t, _ in row] == want
+            # one bit per used entry: direct2, then via1, then via2
+            assert [mask for _, mask in row] == [
+                1 << t.direct2 | 1 << (k + t.via1) | 1 << (2 * k + t.via2) for t in want
+            ]
 
     @settings(max_examples=60, deadline=None)
-    @given(scene_args=stock_scenes(6))
-    def test_counts_the_listed_set(self, scene_args):
+    @given(scene_args=stock_scenes(6), closest=st.booleans())
+    def test_counts_the_listed_set(self, scene_args, closest):
         scene, sets = stock_scene_and_sets(*scene_args)
-        n = len(enumerate_feasible(sets, scene, tau=1.5).solutions)
-        assert feasible_counts(sets, scene, tau=1.5) == (n, n)
+        n = len(enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=closest).solutions)
+        picks = candidate_picks(sets, scene, tau=1.5, use_closest_irs=closest)
+        assert completion_counts(picks)(0) == (n, n)
 
     @settings(max_examples=60, deadline=None)
     @given(scene_args=stock_scenes(6))
     def test_closest_irs_keep_counts_the_filtered_set(self, scene_args):
         scene, sets = stock_scene_and_sets(*scene_args)
         rule = closest_irs_rule(scene, sets)
-        got = feasible_counts(
-            sets, scene, tau=1.5, keep=lambda t: t.irs in rule(t.direct1, t.direct2)
-        )
+        got = counts(sets, scene, tau=1.5, keep=lambda t: t.irs in rule(t.direct1, t.direct2))
         want = (
             len(enumerate_feasible(sets, scene, tau=1.5).solutions),
             len(enumerate_feasible(sets, scene, tau=1.5, use_closest_irs=True).solutions),
@@ -417,7 +447,7 @@ class TestFeasibleCounts:
         scene, sets = stock_scene_and_sets(k, 1, seed)
         w = ResidualWeights.from_cell(0.75)
         cfg = GnConfig(residual_threshold=threshold)
-        got = feasible_counts(
+        got = counts(
             sets,
             scene,
             tau=1.5,
@@ -435,7 +465,7 @@ class TestFeasibleCounts:
         # of the feasible solutions
         scene, sets = stock_scene_and_sets(*scene_args)
         seen = []
-        feasible_counts(sets, scene, tau=1.5, keep=lambda t: seen.append(t) is None)
+        counts(sets, scene, tau=1.5, keep=lambda t: seen.append(t) is None)
         solutions = enumerate_feasible(sets, scene, tau=1.5).solutions
         assert len(seen) == len(set(seen))
         assert set(seen) == {t for sol in solutions for t in sol}

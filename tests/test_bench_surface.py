@@ -52,8 +52,8 @@ def bench():
 
 # card-k6-r3's traced rebuild lists the plain and the closest-surface sets
 # with enumerate_feasible, while cardinality_experiment counts both with one
-# feasible_counts call and lists nothing, so more of its trials compare the
-# two counts
+# completion_counts recursion and lists nothing, so more of its trials
+# compare the two counts
 TRIALS = {"geo-k4-r1": 2, "wave-k4-r3": 2, "card-k6-r3": 20}
 
 

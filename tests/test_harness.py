@@ -194,6 +194,33 @@ class TestTrials:
         assert out.association_correct
         assert max(out.errors_m) < 0.8
 
+    @pytest.mark.parametrize("n_irs", (1, 3))
+    def test_localizes_without_listing(self, monkeypatch, n_irs):
+        # localization selects on the pick table: it must not list the
+        # feasible set or select from a listed one
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_trial listed the feasible set")
+
+        for module, name in (
+            (harness, "enumerate_feasible"),
+            (association, "enumerate_feasible"),
+            (locate, "select_association"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        outcomes = run_localization(default_config(n_irs, trials=4, seed=3))
+        assert all(o.failure is None and o.n_feasible >= 1 for o in outcomes)
+        assert any(o.association_correct for o in outcomes)
+
+    def test_dense_k7_trial_within_budget(self):
+        # seven targets on a 12 m disc leave 415,991 feasible solutions;
+        # listing them took tens of seconds, the used-entry masks do not
+        cfg = default_config(1, k=7, target_radius_m=12)
+        start = time.perf_counter()
+        out = run_trial(cfg, 0, np.random.SeedSequence(1).spawn(1)[0])
+        assert time.perf_counter() - start < 2.0
+        assert out.n_feasible == 415991
+        assert out.solver_calls == 246
+
 
 class TestFailures:
     """Each way a trial can stop before association has its own reason."""
@@ -303,36 +330,54 @@ LAYOUT_IRS_POOL = (
 
 
 class TestLayouts:
-    """A layout is rejected where it enters, or every trial on it ends typed."""
+    """A layout is rejected where it enters, or every trial on it ends typed
+    within a wall budget."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         bs=st.sampled_from(LAYOUT_BS_PAIRS),
         irs=st.lists(st.sampled_from(LAYOUT_IRS_POOL), min_size=1, max_size=3),
-        k=st.integers(1, 6),
+        k=st.integers(1, 7),
+        radius=st.sampled_from((10.0, 50.0, 150.0)),
         skip_phase1=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     # coincident BSs; an IRS on a BS with a second IRS beside it, and one
     # whose squared distance to a BS underflows, on the waveform path
-    @example(bs=LAYOUT_BS_PAIRS[2], irs=[(0.0, 40.0)], k=2, skip_phase1=True, seed=1)
-    @example(bs=DEFAULT_BS, irs=[(100.0, 0.0), (0.0, 40.0)], k=2, skip_phase1=False, seed=1)
+    @example(
+        bs=LAYOUT_BS_PAIRS[2], irs=[(0.0, 40.0)], k=2, radius=50.0, skip_phase1=True, seed=1
+    )
+    @example(
+        bs=DEFAULT_BS,
+        irs=[(100.0, 0.0), (0.0, 40.0)],
+        k=2,
+        radius=50.0,
+        skip_phase1=False,
+        seed=1,
+    )
     @example(
         bs=LAYOUT_BS_PAIRS[3],
         irs=[(1e-170, 0.0), (100.0, 40.0)],
         k=2,
+        radius=50.0,
         skip_phase1=False,
         seed=1,
     )
-    def test_rejected_or_typed(self, bs, irs, k, skip_phase1, seed):
+    # seven targets on a 12 m disc: 514,703 feasible solutions
+    @example(bs=DEFAULT_BS, irs=[(0.0, 40.0)], k=7, radius=12.0, skip_phase1=True, seed=1)
+    def test_rejected_or_typed(self, bs, irs, k, radius, skip_phase1, seed):
         try:
-            cfg = ExperimentConfig(bs=bs, irs=irs, k=k, trials=1, skip_phase1=skip_phase1)
+            cfg = ExperimentConfig(
+                bs=bs, irs=irs, k=k, trials=1, target_radius_m=radius, skip_phase1=skip_phase1
+            )
         except ValueError as err:
             assert str(err).startswith(("bs must", "irs must"))
             return
+        start = time.perf_counter()
         for run in (run_trial, harness.run_baseline_trial):
             out = run(cfg, 0, np.random.SeedSequence(seed))
             assert out.failure is None or out.failure in FAILURE_REASONS
+        assert time.perf_counter() - start < 3.0
 
 
 class TestScoring:
@@ -456,19 +501,19 @@ class TestCardinality:
 
     def test_one_count_per_placed_scene(self, monkeypatch):
         calls = []
-        feasible_counts = harness.feasible_counts
+        completion_counts = harness.completion_counts
         sample = harness.sample_targets
 
-        def recording_counts(*args, **kwargs):
-            calls.append(args[1].n_targets)
-            return feasible_counts(*args, **kwargs)
+        def recording_counts(picks, *args, **kwargs):
+            calls.append(len(picks))
+            return completion_counts(picks, *args, **kwargs)
 
         def fail_first_scene(*args, **kwargs):
             if args[4].spawn_key == (0, 0):
                 raise SceneSamplingError("unplaceable")
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "feasible_counts", recording_counts)
+        monkeypatch.setattr(harness, "completion_counts", recording_counts)
         monkeypatch.setattr(harness, "sample_targets", fail_first_scene)
         rows = cardinality_experiment(default_config(3, trials=5, seed=2), k_values=(3, 4))
         assert [row["sampling_failures"] for row in rows] == [1, 1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from irsloc import locate
 from irsloc.association import FeasibleSet, enumerate_feasible, ground_truth_solution
-from irsloc.harness import DEFAULT_IRS_LAYOUTS, _free_slot_children
+from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS, _free_slot_children
 from irsloc.locate import (
     GnConfig,
     LocEstimate,
@@ -566,10 +566,7 @@ class TestSelection:
         scene, sets = quantized_scene_and_sets(*scene_args)
         feas = enumerate_feasible(sets, scene, tau=1.5)
         order = np.random.default_rng(order_seed).permutation(len(feas.solutions))
-        permuted = FeasibleSet(
-            solutions=tuple(feas.solutions[i] for i in order),
-            closest_irs_filter=feas.closest_irs_filter,
-        )
+        permuted = FeasibleSet(solutions=tuple(feas.solutions[i] for i in order))
         assert select_association(permuted, sets, scene, W, GN) == select_association(
             feas, sets, scene, W, GN
         )
@@ -588,10 +585,7 @@ class TestSelection:
         res = select_association(feas, sets, scene, W, GN)
         assert res.stats.n_survivors == len(feas.solutions) > 1
         assert res.solution == min(feas.solutions)
-        reversed_set = FeasibleSet(
-            solutions=feas.solutions[::-1],
-            closest_irs_filter=feas.closest_irs_filter,
-        )
+        reversed_set = FeasibleSet(solutions=feas.solutions[::-1])
         assert select_association(reversed_set, sets, scene, W, GN) == res
 
     def test_cache_counts_calls(self, monkeypatch):
@@ -622,15 +616,23 @@ class TestSelection:
         scene, sets = scene_and_sets(IRS1, 2, seed=8, cell_m=0.75)
         from irsloc.association import FeasibleSet
 
-        res = select_association(
-            FeasibleSet(solutions=(), closest_irs_filter=False),
-            sets,
-            scene,
-            W,
-            GN,
-        )
+        res = select_association(FeasibleSet(solutions=()), sets, scene, W, GN)
         assert res.solution is None
         assert res.estimates == ()
+
+    def test_rejects_a_set_missing_a_solution(self):
+        # dropping a solution whose every tuple recurs in another leaves a
+        # pick table that still makes it, so the counts disagree
+        scene, sets = quantized_scene_and_sets(4, 1, 7)
+        solutions = enumerate_feasible(sets, scene, tau=1.5).solutions
+        for i, sol in enumerate(solutions):
+            rest = solutions[:i] + solutions[i + 1 :]
+            if all(any(other[level] == t for other in rest) for level, t in enumerate(sol)):
+                break
+        else:
+            pytest.fail("every solution holds a tuple of its own")
+        with pytest.raises(ValueError, match="listed tuples make"):
+            select_association(FeasibleSet(solutions=rest), sets, scene, W, GN)
 
 
 class TestLocalize:
@@ -656,6 +658,24 @@ class TestLocalize:
     def test_several_irs_select_from_closest_filtered_set(self):
         self.check_selects_from(IRS2, closest=True)
         self.check_selects_from(DEFAULT_IRS_LAYOUTS[3], closest=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        r=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from((1e-12, 1.0, 16.0)),
+    )
+    def test_matches_selection_on_the_listed_set(self, k, r, seed, threshold):
+        # the pick-table engine answers as selection on the listed set does:
+        # same solution, estimates, counts, fallback and solver calls
+        scene = sample_targets(DEFAULT_BS, DEFAULT_IRS_LAYOUTS[r], k, 50.0, seed=seed)
+        sets = RangeSets.from_geometry(scene, cell_m=0.75)
+        cfg = GnConfig(residual_threshold=threshold)
+        feas = enumerate_feasible(sets, scene, 1.5, use_closest_irs=r > 1)
+        assert localize(sets, scene, 1.5, W, cfg) == select_association(
+            feas, sets, scene, W, cfg
+        )
 
     def test_multi_irs_localizes_quantized(self):
         scene, sets = scene_and_sets(IRS2, 4, seed=2, cell_m=0.75)
