@@ -34,6 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,7 @@ from .scene import Point2D, Scene, distance, echo_lengths
 from .ranging import RangeSets, quantize_range
 
 
-@dataclass(frozen=True, order=True)
-class AssociationTuple:
+class AssociationTuple(NamedTuple):
     """One target's pick from the four range lists plus its serving IRS.
 
     All indices are 0-based.  Ordering is lexicographic over the fields,
@@ -156,15 +156,7 @@ def closest_irs_candidates(
     appear in a correct hypothesis with this (direct1, direct2) pick.  Ties
     within 1e-9 m keep every tied IRS.  Empty when the circles miss.
     """
-    r1 = 0.5 * sets.direct[0][direct1]
-    r2 = 0.5 * sets.direct[1][direct2]
-    points = circle_intersections(scene.bs[0], r1, scene.bs[1], r2)
-    candidates = set()
-    for p in points:
-        dists = [distance(q, p) for q in scene.irs]
-        best = min(dists)
-        candidates.update(r for r, d in enumerate(dists) if d <= best + 1e-9)
-    return frozenset(candidates)
+    return closest_irs_rule(scene, sets)(direct1, direct2)
 
 
 def closest_irs_rule(scene: Scene, sets: RangeSets):
@@ -172,8 +164,30 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
 
     ``rule(direct1, direct2)`` is ``closest_irs_candidates`` for that pick,
     computed on first lookup only; a hypothesis passes when its IRS is in it.
+    It is ``circle_intersections`` with the BS distance and axis hoisted.
     """
-    return functools.cache(functools.partial(closest_irs_candidates, scene, sets))
+    (x1, y1), (x2, y2) = scene.bs
+    d = math.hypot(x2 - x1, y2 - y1)
+    ex, ey = (x2 - x1) / d, (y2 - y1) / d
+
+    @functools.cache
+    def rule(direct1: int, direct2: int) -> frozenset[int]:
+        r1 = 0.5 * sets.direct[0][direct1]
+        r2 = 0.5 * sets.direct[1][direct2]
+        if r1 < 0 or r2 < 0:
+            raise ValueError("radii must be nonnegative")
+        candidates = set()
+        if not (d > r1 + r2 or d < abs(r1 - r2)):
+            a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+            h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+            mx, my = x1 + a * ex, y1 + a * ey
+            for px, py in ((mx + h * (-ey), my + h * ex), (mx - h * (-ey), my - h * ex)):
+                dists = [math.hypot(qx - px, qy - py) for qx, qy in scene.irs]
+                best = min(dists)
+                candidates.update(r for r, dist in enumerate(dists) if dist <= best + 1e-9)
+        return frozenset(candidates)
+
+    return rule
 
 
 def _gap_grid(sets: RangeSets, scene: Scene, tau: float):
@@ -235,20 +249,21 @@ def completion_counts(picks, keep=None):
     """
     k = len(picks)
     passes = functools.cache(keep) if keep is not None else None
+    memo = {(1 << 3 * k) - 1: (1, 1)}  # every entry used: the one empty completion
 
-    @functools.cache
-    def count(used: int) -> tuple[int, int]:
-        level = used.bit_count() // 3
-        if level == k:
-            return 1, 1
+    def walk(used: int, level: int) -> tuple[int, int]:
         n_all = n_kept = 0
         for t, mask in picks[level]:
             if not used & mask:
-                sub_all, sub_kept = count(used | mask)
+                sub_all, sub_kept = memo.get(used | mask) or walk(used | mask, level + 1)
                 n_all += sub_all
                 if sub_kept and (passes is None or passes(t)):
                     n_kept += sub_kept
+        memo[used] = n_all, n_kept
         return n_all, n_kept
+
+    def count(used: int) -> tuple[int, int]:
+        return memo.get(used) or walk(used, used.bit_count() // 3)
 
     return count
 

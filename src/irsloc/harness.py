@@ -418,8 +418,8 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
 
     For each K: mean size of the consistency-filtered set, plus the second
     reduction stage: the feasible solutions whose every tuple fits below
-    ``cfg.gn.residual_threshold`` for a single IRS (``select_association``'s
-    survivors) or passes ``closest_irs_rule`` for several.  One
+    ``cfg.gn.residual_threshold`` for a single IRS (``localize``'s
+    ``_select`` survivors) or passes ``closest_irs_rule`` for several.  One
     ``completion_counts`` call per scene gives both, listing no solution.
     Unplaceable scenes are skipped and counted in ``sampling_failures``; the
     means are over the placed scenes, NaN when there are none.
@@ -427,7 +427,7 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
     rows = []
     r = len(cfg.irs)
     for k in k_values:
-        kcfg = replace(cfg, k=int(k))
+        kcfg = cfg if cfg.k == k else replace(cfg, k=int(k))
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
         feas = []
         reduced = []

@@ -22,6 +22,7 @@ experiments: pairwise differences of BS-to-IRS distances must be distinct,
 otherwise two IRSs become interchangeable in the association step.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,9 +97,16 @@ def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
     at distinct points (so the BS line is defined), and one starting ``irs
     must`` unless there is at least one IRS, no two IRSs share a point and
     no IRS sits on a BS, or so near one that their squared distance is 0.0.
+    The checks are memoized per coerced layout; a rejection is not.
     """
     bs = tuple(as_point(p) for p in bs)
     irs = tuple(as_point(p) for p in irs)
+    _check_coerced_layout(bs, irs)
+    return bs, irs
+
+
+@functools.lru_cache(maxsize=64)
+def _check_coerced_layout(bs: tuple[Point2D, ...], irs: tuple[Point2D, ...]) -> None:
     if len(bs) != 2:
         raise ValueError("bs must hold exactly two base stations")
     _bs_axis(bs)  # raises when the BS line is undefined
@@ -109,7 +117,6 @@ def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
     # a square that underflows to 0.0 would divide by zero in the echo gains
     if any(distance(b, q) ** 2 == 0.0 for b in bs for q in irs):
         raise ValueError("irs must not sit on a base station")
-    return bs, irs
 
 
 @dataclass(frozen=True)
@@ -198,18 +205,15 @@ def check_topology(bs, irs, tol: float = 1e-6) -> TopologyReport:
     return TopologyReport(c1_ok=c1_ok, c2_ok=c2_ok, offending_pairs=tuple(offending))
 
 
-def _half_disc_sample(rng, center: Point2D, radius: float, bs_axis) -> Point2D:
+def _half_disc_sample(rng, center: Point2D, radius: float, frame) -> Point2D:
     """Uniform draw from the half disc around ``center`` on the side of the
-    BS line (``_bs_axis``), so the sensing region sits between its IRS and
-    the BSs."""
-    b1, u = bs_axis
-    n = np.array([-u[1], u[0]])
-    side = float(np.dot(np.asarray(center) - b1, n))
-    toward = -n if side > 0 else n
+    BS line, in ``frame``'s axes, so the sensing region sits between its IRS
+    and the BSs.  Plain floats round like numpy's elementwise 2-vectors."""
+    ux, uy, tx, ty = frame
     r = radius * math.sqrt(rng.uniform())
     phi = rng.uniform(0.0, math.pi)
-    offset = r * (math.cos(phi) * u + math.sin(phi) * toward)
-    return Point2D(center.x + offset[0], center.y + offset[1])
+    c, s = math.cos(phi), math.sin(phi)
+    return Point2D(center.x + r * (c * ux + s * tx), center.y + r * (c * uy + s * ty))
 
 
 def sample_targets(
@@ -239,7 +243,12 @@ def sample_targets(
     if radius <= 0:
         raise ValueError("radius must be positive")
     bs, irs = check_layout(bs, irs)
-    bs_axis = _bs_axis(bs)
+    b1, u = _bs_axis(bs)
+    n = np.array([-u[1], u[0]])
+    frames = []  # per IRS: the BS-line direction and the normal toward the line
+    for q in irs:
+        toward = -n if float(np.dot(np.asarray(q) - b1, n)) > 0 else n
+        frames.append((*u.tolist(), *toward.tolist()))
     rng = np.random.default_rng(seed)
 
     occupied: list[set[int]] = [set(), set()]
@@ -252,8 +261,9 @@ def sample_targets(
     for _ in range(k):
         for attempt in range(max_attempts_per_target):
             g = int(rng.integers(len(irs)))
-            pos = _half_disc_sample(rng, irs[g], radius, bs_axis)
-            if nearest_irs(irs, pos) != g:
+            pos = x, y = _half_disc_sample(rng, irs[g], radius, frames[g])
+            dists = [math.hypot(q.x - x, q.y - y) for q in irs]  # as nearest_irs
+            if dists.index(min(dists)) != g:
                 continue
             if cell_m is not None:
                 cells = []

@@ -1,0 +1,105 @@
+"""Reference forms that the package's fast paths are pinned to.
+
+Each function here is the straightforward, slower form of a package
+function, kept verbatim so property tests can demand identical output.
+"""
+
+import math
+
+import numpy as np
+
+from irsloc.association import circle_intersections
+from irsloc.scene import (
+    DEFAULT_CELL_M,
+    Point2D,
+    Scene,
+    SceneSamplingError,
+    _bs_axis,
+    check_layout,
+    delay_cell,
+    distance,
+    echo_lengths,
+    nearest_irs,
+)
+
+
+def reference_half_disc_sample(rng, center: Point2D, radius: float, bs_axis) -> Point2D:
+    """One half-disc draw with the BS-line normal and side worked out per
+    draw on numpy 2-vectors."""
+    b1, u = bs_axis
+    n = np.array([-u[1], u[0]])
+    side = float(np.dot(np.asarray(center) - b1, n))
+    toward = -n if side > 0 else n
+    r = radius * math.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, math.pi)
+    offset = r * (math.cos(phi) * u + math.sin(phi) * toward)
+    return Point2D(center.x + offset[0], center.y + offset[1])
+
+
+def reference_sample_targets(
+    bs,
+    irs,
+    k: int,
+    radius: float,
+    seed,
+    cell_m: float | None = DEFAULT_CELL_M,
+    max_attempts_per_target: int = 1000,
+) -> Scene:
+    """``sample_targets`` with per-draw frames, ``nearest_irs`` and
+    ``echo_lengths``: the same rng stream, rejections and errors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    bs, irs = check_layout(bs, irs)
+    bs_axis = _bs_axis(bs)
+    rng = np.random.default_rng(seed)
+
+    occupied: list[set[int]] = [set(), set()]
+    if cell_m is not None:
+        for m, bs_pos in enumerate(bs):
+            occupied[m].update(delay_cell(2.0 * distance(bs_pos, q), cell_m) for q in irs)
+
+    targets: list[Point2D] = []
+    assignment: list[int] = []
+    for _ in range(k):
+        for attempt in range(max_attempts_per_target):
+            g = int(rng.integers(len(irs)))
+            pos = reference_half_disc_sample(rng, irs[g], radius, bs_axis)
+            if nearest_irs(irs, pos) != g:
+                continue
+            if cell_m is not None:
+                cells = []
+                for bs_pos in bs:
+                    direct, via = echo_lengths(bs_pos, irs[g], pos)
+                    cells.append((delay_cell(direct, cell_m), delay_cell(via, cell_m)))
+                if any(
+                    d == v or d in occupied[m] or v in occupied[m]
+                    for m, (d, v) in enumerate(cells)
+                ):
+                    continue
+                for m, pair in enumerate(cells):
+                    occupied[m].update(pair)
+            targets.append(pos)
+            assignment.append(g)
+            break
+        else:
+            raise SceneSamplingError(
+                f"could not place target {len(targets)} after "
+                f"{max_attempts_per_target} attempts"
+            )
+    return Scene(bs=bs, irs=irs, targets=tuple(targets), true_irs=tuple(assignment))
+
+
+def reference_closest_irs_candidates(scene: Scene, sets, direct1: int, direct2: int) -> frozenset[int]:
+    """The nearest-surface rule of one pick through ``circle_intersections``
+    and ``distance``, recomputing the BS distance and axis per call."""
+    r1 = 0.5 * sets.direct[0][direct1]
+    r2 = 0.5 * sets.direct[1][direct2]
+    points = circle_intersections(scene.bs[0], r1, scene.bs[1], r2)
+    candidates = set()
+    for p in points:
+        dists = [distance(q, p) for q in scene.irs]
+        best = min(dists)
+        candidates.update(r for r, d in enumerate(dists) if d <= best + 1e-9)
+    return frozenset(candidates)

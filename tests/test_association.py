@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import reference_closest_irs_candidates
 
 from irsloc.association import (
     AssociationTuple,
@@ -59,7 +60,7 @@ def reference_enumerate(
 
     Each node loops over the free ``direct2`` picks and evaluates the gap
     over that pick's (via1, via2, irs) grid; the nearest-surface rule is a
-    per-pick memo of ``closest_irs_candidates``.  Solutions come out in
+    per-pick memo of ``reference_closest_irs_candidates``.  Solutions come out in
     lexicographic order, and ``enumerate_feasible`` must return the same
     solutions in the same order.
     """
@@ -89,7 +90,7 @@ def reference_enumerate(
             return frozenset(range(n_irs))
         key = (i, j)
         if key not in irs_memo:
-            irs_memo[key] = closest_irs_candidates(scene, sets, i, j)
+            irs_memo[key] = reference_closest_irs_candidates(scene, sets, i, j)
         return irs_memo[key]
 
     solutions: list[tuple[AssociationTuple, ...]] = []
@@ -234,6 +235,42 @@ class TestCircles:
             circle_intersections((0, 0), -1.0, (1, 0), 1.0)
 
 
+# Layouts for the nearest-surface property: the stock ones; surface pairs
+# mirrored across the BSs' perpendicular bisector, exactly, 5e-10 m and
+# 3e-9 m off (ties are kept within 1e-9 m); and the turned BS pair.  Both
+# BS pairs are 200 m apart, so integer radii summing to 200 make tangent
+# circles.
+TURNED_BS = (Point2D(0.0, 100.0), Point2D(0.0, -100.0))
+RULE_LAYOUTS = (
+    (DEFAULT_BS, DEFAULT_IRS_LAYOUTS[1]),
+    (DEFAULT_BS, DEFAULT_IRS_LAYOUTS[2]),
+    (DEFAULT_BS, DEFAULT_IRS_LAYOUTS[3]),
+    (DEFAULT_BS, ((-60.0, 40.0), (60.0, 40.0))),
+    (DEFAULT_BS, ((-60.0, 40.0), (60.0 + 5e-10, 40.0), (0.0, -70.0))),
+    (DEFAULT_BS, ((-60.0, 40.0), (60.0 + 3e-9, 40.0))),
+    (TURNED_BS, ((40.0, 0.0), (-60.0, 80.0), (40.0, -60.0))),
+)
+RULE_RADII = st.one_of(st.integers(0, 400).map(float), st.floats(0.0, 400.0))
+
+
+class TestAssociationTuple:
+    def test_fields_order_and_hash_are_the_field_tuple(self):
+        assert AssociationTuple._fields == ("direct1", "direct2", "via1", "via2", "irs")
+        fields = list(itertools.product(range(2), range(3), range(2), range(2), range(3)))
+        rng = np.random.default_rng(0)
+        shuffled = [fields[i] for i in rng.permutation(len(fields))]
+        tuples = [AssociationTuple(*f) for f in shuffled]
+        assert [tuple(t) for t in sorted(tuples)] == sorted(shuffled)
+        assert [hash(t) for t in tuples] == [hash(f) for f in shuffled]
+        # same hashes in the same insertion order: same set and dict order
+        assert [tuple(t) for t in set(tuples)] == list(set(shuffled))
+        assert [tuple(t) for t in dict.fromkeys(tuples)] == shuffled
+
+    def test_list_accessors(self):
+        t = AssociationTuple(direct1=1, direct2=2, via1=3, via2=4, irs=0)
+        assert (t.direct(0), t.direct(1), t.via(0), t.via(1), t.irs) == (1, 2, 3, 4, 0)
+
+
 class TestClosestIrs:
     def test_true_irs_always_candidate_with_exact_ranges(self):
         for seed in range(6):
@@ -248,6 +285,44 @@ class TestClosestIrs:
         # radii too small to reach each other: direct ranges of 1 m
         sets = RangeSets(direct=((1.0, 2.0), (1.0, 2.0)), via_irs=((5.0, 6.0), (5.0, 6.0)))
         assert closest_irs_candidates(scene, sets, 0, 0) == frozenset()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layout=st.sampled_from(RULE_LAYOUTS),
+        radii=st.tuples(*[st.lists(RULE_RADII, min_size=1, max_size=4)] * 2),
+    )
+    @example(layout=RULE_LAYOUTS[2], radii=([75.0], [125.0]))  # touching outside
+    @example(layout=RULE_LAYOUTS[2], radii=([300.0], [100.0]))  # touching inside
+    @example(layout=RULE_LAYOUTS[4], radii=([120.0], [120.0]))  # tie within 1e-9 m
+    @example(layout=RULE_LAYOUTS[5], radii=([120.0], [120.0]))  # just outside it
+    @example(layout=RULE_LAYOUTS[1], radii=([1.0, 2.0], [1.0, 99.0]))  # circles miss
+    def test_rule_matches_per_pick_reference(self, layout, radii):
+        bs, irs = layout
+        scene = Scene(bs=bs, irs=irs, targets=(irs[0],), true_irs=(0,))
+        direct = tuple(tuple(sorted(2.0 * r for r in rs)) for rs in radii)
+        sets = RangeSets(direct=direct, via_irs=((), ()))
+        rule = closest_irs_rule(scene, sets)
+        for i, j in itertools.product(range(len(direct[0])), range(len(direct[1]))):
+            want = reference_closest_irs_candidates(scene, sets, i, j)
+            assert rule(i, j) == want
+            assert closest_irs_candidates(scene, sets, i, j) == want
+
+    def test_tangency_ties_and_misses(self):
+        def rule(layout, r1, r2):
+            bs, irs = layout
+            scene = Scene(bs=bs, irs=irs, targets=(irs[0],), true_irs=(0,))
+            sets = RangeSets(direct=((2.0 * r1,), (2.0 * r2,)), via_irs=((), ()))
+            return closest_irs_rule(scene, sets)(0, 0)
+
+        # one touching point, (25, 0) and (-200, 0), nearest the third surface
+        assert rule(RULE_LAYOUTS[2], 75.0, 125.0) == {2}
+        assert rule(RULE_LAYOUTS[2], 300.0, 100.0) == {0}
+        # points on the bisector: a pair 5e-10 m off a tie is tied, 3e-9 m is not
+        assert rule(RULE_LAYOUTS[4], 120.0, 120.0) == {0, 1, 2}
+        assert rule(RULE_LAYOUTS[5], 120.0, 120.0) == {0}
+        # circles that miss leave no surface, even with every surface in range
+        assert rule(RULE_LAYOUTS[1], 1.0, 2.0) == frozenset()
+        assert rule(RULE_LAYOUTS[2], 10.0, 400.0) == frozenset()
 
 
 class TestEnumeration:

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_sample_targets
+from test_harness import LAYOUT_BS_PAIRS, LAYOUT_IRS_POOL
 
+from irsloc import scene as scene_module
 from irsloc.scene import (
     DEFAULT_CELL_M,
     Point2D,
@@ -20,6 +25,12 @@ from irsloc.scene import (
 from irsloc.waveform import OfdmConfig
 
 BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
+# BS lines on neither axis: the layout pool's pairs are axis-aligned, which
+# makes the draw's products and sums exact, so these are what test rounding
+TILTED_BS_PAIRS = (
+    (Point2D(100.0, 0.0), Point2D(-80.0, 35.0)),
+    (Point2D(13.7, -42.1), Point2D(-91.3, 77.9)),
+)
 
 
 def make_scene(irs, targets, true_irs):
@@ -89,6 +100,39 @@ class TestLayoutRule:
             check_layout(bs, ((1e-162, 0.0), (100.0, 40.0)))
         for offset in (1e-160, 1e-13):
             check_layout(bs, ((offset, 0.0), (100.0, 40.0)))
+
+    def test_rejected_layout_raises_on_every_call(self):
+        # the layout memo keeps no exception, so nothing is remembered as valid
+        memo = scene_module._check_coerced_layout
+        before = memo.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^bs must"):
+                check_layout((BS[0], BS[0]), ((0.0, 40.0),))
+            with pytest.raises(ValueError, match="^irs must"):
+                check_layout(BS, ((0.0, 40.0), (0.0, 40.0)))
+        assert memo.cache_info().currsize <= before
+
+    def test_list_and_array_inputs_coerce_on_every_call(self):
+        # a memo hit still returns the caller's layout coerced to Point2D
+        want = check_layout(BS, ((0.0, 40.0), (70.0, 40.0)))
+        for bs, irs in [
+            ([[100, 0], [-100, 0]], [[0, 40], [70, 40]]),
+            (np.array([[100.0, 0.0], [-100.0, 0.0]]), np.array([[0, 40], [70, 40]])),
+        ]:
+            got = check_layout(bs, irs)
+            assert got == want
+            assert all(type(p) is Point2D and type(p.x) is float for p in got[0] + got[1])
+
+    def test_layout_memo_is_bounded(self):
+        memo = scene_module._check_coerced_layout
+        bound = memo.cache_info().maxsize
+        assert bound is not None
+        for i in range(2 * bound + 5):
+            check_layout(BS, ((float(i), 40.0),))
+        assert memo.cache_info().currsize <= bound
+        hits = memo.cache_info().hits
+        check_layout(BS, ((float(2 * bound), 40.0),))
+        assert memo.cache_info().hits == hits + 1
 
     def test_mirror_needs_a_bs_line(self):
         with pytest.raises(ValueError, match="^bs must"):
@@ -223,3 +267,40 @@ class TestSampling:
         irs = ((0.0, 40.0),)
         with pytest.raises(SceneSamplingError):
             sample_targets(BS, irs, 40, 0.5, seed=1, max_attempts_per_target=50)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bs=st.sampled_from(LAYOUT_BS_PAIRS + TILTED_BS_PAIRS),
+        irs=st.lists(st.sampled_from(LAYOUT_IRS_POOL), min_size=1, max_size=3),
+        k=st.integers(1, 7),
+        radius=st.sampled_from((10.0, 50.0, 150.0)),
+        cell_m=st.sampled_from((None, DEFAULT_CELL_M)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the turned BS pair with surfaces on either side of its line
+    @example(
+        bs=LAYOUT_BS_PAIRS[1],
+        irs=[(40.0, 0.0), (-60.0, 80.0), (80.0, -60.0)],
+        k=7,
+        radius=150.0,
+        cell_m=DEFAULT_CELL_M,
+        seed=3,
+    )
+    @example(
+        bs=TILTED_BS_PAIRS[0],
+        irs=[(0.0, 40.0), (80.0, -60.0)],
+        k=5,
+        radius=50.0,
+        cell_m=DEFAULT_CELL_M,
+        seed=1,
+    )
+    def test_matches_per_draw_reference(self, bs, irs, k, radius, cell_m, seed):
+        # bit for bit: same points and surfaces, or the same error
+        def outcome(sample):
+            try:
+                scene = sample(bs, irs, k, radius, seed, cell_m=cell_m, max_attempts_per_target=200)
+            except (ValueError, SceneSamplingError) as err:
+                return type(err), str(err)
+            return repr(scene.targets), scene.true_irs
+
+        assert outcome(sample_targets) == outcome(reference_sample_targets)
