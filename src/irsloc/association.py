@@ -167,25 +167,26 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
     It is ``circle_intersections`` with the BS distance and axis hoisted.
     """
     (x1, y1), (x2, y2) = scene.bs
+    irs, (direct1s, direct2s) = scene.irs, sets.direct
     d = math.hypot(x2 - x1, y2 - y1)
     ex, ey = (x2 - x1) / d, (y2 - y1) / d
 
     @functools.cache
     def rule(direct1: int, direct2: int) -> frozenset[int]:
-        r1 = 0.5 * sets.direct[0][direct1]
-        r2 = 0.5 * sets.direct[1][direct2]
+        r1, r2 = 0.5 * direct1s[direct1], 0.5 * direct2s[direct2]
         if r1 < 0 or r2 < 0:
             raise ValueError("radii must be nonnegative")
-        candidates = set()
-        if not (d > r1 + r2 or d < abs(r1 - r2)):
-            a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-            h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-            mx, my = x1 + a * ex, y1 + a * ey
-            for px, py in ((mx + h * (-ey), my + h * ex), (mx - h * (-ey), my - h * ex)):
-                dists = [math.hypot(qx - px, qy - py) for qx, qy in scene.irs]
-                best = min(dists)
-                candidates.update(r for r, dist in enumerate(dists) if dist <= best + 1e-9)
-        return frozenset(candidates)
+        if d > r1 + r2 or d < abs(r1 - r2):
+            return frozenset()
+        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+        h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+        mx, my = x1 + a * ex, y1 + a * ey
+        near = []
+        for px, py in ((mx + h * (-ey), my + h * ex), (mx - h * (-ey), my - h * ex)):
+            dists = [math.hypot(qx - px, qy - py) for qx, qy in irs]
+            cut = min(dists) + 1e-9
+            near += [r for r, dist in enumerate(dists) if dist <= cut]
+        return frozenset(near)
 
     return rule
 
@@ -229,10 +230,12 @@ def candidate_picks(sets: RangeSets, scene: Scene, tau: float, use_closest_irs: 
     k, gaps = _gap_grid(sets, scene, tau)
     allowed = closest_irs_rule(scene, sets) if use_closest_irs else None
     picks = [[] for _ in range(k)]
-    for i, j, a, b, g in zip(*(idx.tolist() for idx in (gaps < tau).nonzero())):
+    # flat indices: a 5-D nonzero or argwhere costs several times as much
+    hits = np.unravel_index(np.flatnonzero(gaps < tau), gaps.shape)
+    for i, j, a, b, g in zip(*(idx.tolist() for idx in hits)):
         if allowed is None or g in allowed(i, j):
-            t = AssociationTuple(i, j, a, b, g)
-            picks[i].append((t, entry_mask(t, k)))
+            mask = 1 << j | 1 << (k + a) | 1 << (2 * k + b)  # entry_mask, inline
+            picks[i].append((AssociationTuple(i, j, a, b, g), mask))
     return picks
 
 

@@ -57,7 +57,9 @@ def _add_common(p, with_k=True):
 
 
 def cmd_cardinality(args) -> int:
-    cfg = _load_config(args, n_irs=args.n_irs)
+    cfg = _load_config(args, n_irs=args.n_irs or 1)
+    if args.n_irs not in (None, len(cfg.irs)):
+        args.error(f"--n-irs {args.n_irs} does not match --config's IRS count {len(cfg.irs)}")
     k_values = [int(v) for v in args.k_values.split(",")]
     rows = cardinality_experiment(cfg, k_values)
     out = _out_dir(args)
@@ -152,8 +154,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("cardinality", help="feasible-set size vs target count")
     _add_common(p, with_k=False)
     p.add_argument("--k-values", default="2,3,4,5,6,7", help="comma-separated K list")
-    p.add_argument("--n-irs", type=int, default=1, choices=(1, 2, 3), help="stock layout")
-    p.set_defaults(func=cmd_cardinality)
+    p.add_argument("--n-irs", type=int, choices=(1, 2, 3), help="stock layout (default 1)")
+    p.set_defaults(func=cmd_cardinality, error=p.error)
 
     p = sub.add_parser("localize", help="end-to-end localization error probability")
     _add_common(p)

@@ -399,9 +399,10 @@ def _mean_and_se(values) -> tuple[float, float]:
     """Sample mean and its standard error; both NaN for no values."""
     if not values:
         return math.nan, math.nan
+    if len(values) == 1:  # what numpy gives, without its fixed cost
+        return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return float(arr.mean()), se
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
 def _second_stage(cfg: ExperimentConfig, scene: Scene, sets: RangeSets):

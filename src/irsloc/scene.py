@@ -64,14 +64,16 @@ def delay_cell(length_m: float, cell_m: float) -> int:
     return math.floor(length_m / cell_m)
 
 
-def echo_lengths(bs_pos, irs_pos, target) -> tuple[float, float]:
+def echo_lengths(bs_pos, irs_pos, target, d_it=None, d_bi=None) -> tuple[float, float]:
     """Total lengths ``(direct, via)`` of the two echoes a BS hears from a target.
 
     ``direct`` is the BS-target-BS round trip, ``via`` the BS-target-IRS-BS
-    compound path through the IRS at ``irs_pos``.
+    compound path through the IRS at ``irs_pos``.  A caller that already
+    holds the IRS-target or BS-IRS ``distance`` passes it as ``d_it`` or ``d_bi``.
     """
     d_bt = distance(bs_pos, target)
-    return 2.0 * d_bt, d_bt + distance(irs_pos, target) + distance(bs_pos, irs_pos)
+    d_it = distance(irs_pos, target) if d_it is None else d_it
+    return 2.0 * d_bt, d_bt + d_it + (distance(bs_pos, irs_pos) if d_bi is None else d_bi)
 
 
 def nearest_irs(irs: tuple, point) -> int:
@@ -97,26 +99,37 @@ def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
     at distinct points (so the BS line is defined), and one starting ``irs
     must`` unless there is at least one IRS, no two IRSs share a point and
     no IRS sits on a BS, or so near one that their squared distance is 0.0.
-    The checks are memoized per coerced layout; a rejection is not.
+    The checks are memoized per coerced layout (``_layout_constants``); a
+    rejection is not.  The caller's points are returned, never the memo's,
+    which may hold a ``-0.0`` where the caller has ``0.0``.
     """
     bs = tuple(as_point(p) for p in bs)
     irs = tuple(as_point(p) for p in irs)
-    _check_coerced_layout(bs, irs)
+    _layout_constants(bs, irs)
     return bs, irs
 
 
 @functools.lru_cache(maxsize=64)
-def _check_coerced_layout(bs: tuple[Point2D, ...], irs: tuple[Point2D, ...]) -> None:
+def _layout_constants(bs: tuple[Point2D, ...], irs: tuple[Point2D, ...]):
+    """Check a coerced layout; return its sampling constants ``(frames, d_bi)``.
+
+    ``frames[r]`` holds the BS-line direction and the normal toward the line
+    at IRS ``r``; ``d_bi[m][r]`` is ``distance(bs[m], irs[r])``.
+    """
     if len(bs) != 2:
         raise ValueError("bs must hold exactly two base stations")
-    _bs_axis(bs)  # raises when the BS line is undefined
+    b1, u = _bs_axis(bs)  # raises when the BS line is undefined
     if not irs:
         raise ValueError("irs must hold at least one surface")
     if len(set(irs)) != len(irs):
         raise ValueError("irs must hold distinct positions")
+    d_bi = tuple(tuple(distance(b, q) for q in irs) for b in bs)
     # a square that underflows to 0.0 would divide by zero in the echo gains
-    if any(distance(b, q) ** 2 == 0.0 for b in bs for q in irs):
+    if any(d**2 == 0.0 for row in d_bi for d in row):
         raise ValueError("irs must not sit on a base station")
+    n = np.array([-u[1], u[0]])
+    toward = [-n if float(np.dot(np.asarray(q) - b1, n)) > 0 else n for q in irs]
+    return tuple((*u.tolist(), *t.tolist()) for t in toward), d_bi
 
 
 @dataclass(frozen=True)
@@ -142,11 +155,11 @@ class Scene:
             raise ValueError("at least one target required")
         if len(self.true_irs) != len(self.targets):
             raise ValueError("true_irs must have one entry per target")
-        for k, (t, g) in enumerate(zip(self.targets, self.true_irs)):
-            if not 0 <= g < len(self.irs):
+        for k, ((x, y), g) in enumerate(zip(self.targets, self.true_irs)):
+            if not 0 <= g < len(irs):
                 raise ValueError(f"true_irs[{k}] out of range")
-            d_g = distance(self.irs[g], t)
-            if any(distance(p, t) < d_g - 1e-9 for p in self.irs):
+            dists = [math.hypot(qx - x, qy - y) for qx, qy in irs]  # as distance
+            if min(dists) < dists[g] - 1e-9:
                 raise ValueError(f"true_irs[{k}] is not the nearest IRS")
 
     @property
@@ -205,17 +218,6 @@ def check_topology(bs, irs, tol: float = 1e-6) -> TopologyReport:
     return TopologyReport(c1_ok=c1_ok, c2_ok=c2_ok, offending_pairs=tuple(offending))
 
 
-def _half_disc_sample(rng, center: Point2D, radius: float, frame) -> Point2D:
-    """Uniform draw from the half disc around ``center`` on the side of the
-    BS line, in ``frame``'s axes, so the sensing region sits between its IRS
-    and the BSs.  Plain floats round like numpy's elementwise 2-vectors."""
-    ux, uy, tx, ty = frame
-    r = radius * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, math.pi)
-    c, s = math.cos(phi), math.sin(phi)
-    return Point2D(center.x + r * (c * ux + s * tx), center.y + r * (c * uy + s * ty))
-
-
 def sample_targets(
     bs,
     irs,
@@ -243,32 +245,35 @@ def sample_targets(
     if radius <= 0:
         raise ValueError("radius must be positive")
     bs, irs = check_layout(bs, irs)
-    b1, u = _bs_axis(bs)
-    n = np.array([-u[1], u[0]])
-    frames = []  # per IRS: the BS-line direction and the normal toward the line
-    for q in irs:
-        toward = -n if float(np.dot(np.asarray(q) - b1, n)) > 0 else n
-        frames.append((*u.tolist(), *toward.tolist()))
+    frames, d_bi = _layout_constants(bs, irs)
     rng = np.random.default_rng(seed)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same draws
+    draw, pick = rng.random, rng.integers
 
     occupied: list[set[int]] = [set(), set()]
     if cell_m is not None:
-        for m, bs_pos in enumerate(bs):
-            occupied[m].update(delay_cell(2.0 * distance(bs_pos, q), cell_m) for q in irs)
+        for m, row in enumerate(d_bi):
+            occupied[m].update(delay_cell(2.0 * d, cell_m) for d in row)
 
-    targets: list[Point2D] = []
+    targets: list[tuple[float, float]] = []  # Scene coerces them to Point2D
     assignment: list[int] = []
     for _ in range(k):
         for attempt in range(max_attempts_per_target):
-            g = int(rng.integers(len(irs)))
-            pos = x, y = _half_disc_sample(rng, irs[g], radius, frames[g])
-            dists = [math.hypot(q.x - x, q.y - y) for q in irs]  # as nearest_irs
+            g = int(pick(len(irs)))
+            # uniform over the half disc, in plain floats rounded like
+            # numpy's elementwise 2-vectors
+            (cx, cy), (ux, uy, tx, ty) = irs[g], frames[g]
+            r = radius * math.sqrt(draw())
+            phi = math.pi * draw()
+            c, s = math.cos(phi), math.sin(phi)
+            x, y = cx + r * (c * ux + s * tx), cy + r * (c * uy + s * ty)
+            dists = [math.hypot(qx - x, qy - y) for qx, qy in irs]  # as nearest_irs
             if dists.index(min(dists)) != g:
                 continue
             if cell_m is not None:
                 cells = []
-                for bs_pos in bs:
-                    direct, via = echo_lengths(bs_pos, irs[g], pos)
+                for m, bs_pos in enumerate(bs):
+                    direct, via = echo_lengths(bs_pos, irs[g], (x, y), dists[g], d_bi[m][g])
                     cells.append((delay_cell(direct, cell_m), delay_cell(via, cell_m)))
                 if any(
                     d == v or d in occupied[m] or v in occupied[m]
@@ -277,7 +282,7 @@ def sample_targets(
                     continue
                 for m, pair in enumerate(cells):
                     occupied[m].update(pair)
-            targets.append(pos)
+            targets.append((x, y))
             assignment.append(g)
             break
         else:

@@ -467,12 +467,21 @@ class TestEnumeration:
 class TestFeasibleCounts:
     """The pick table and its completion count against the listed feasible set."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(scene_args=stock_scenes(5), closest=st.booleans())
-    def test_picks_are_the_passing_tuples_in_order(self, scene_args, closest):
-        scene, sets = stock_scene_and_sets(*scene_args)
-        k, r = scene.n_targets, scene.n_irs
-        picks = candidate_picks(sets, scene, tau=1.5, use_closest_irs=closest)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scene_args=stock_scenes(7),
+        closest=st.booleans(),
+        # the half-cell lattice: quantized gaps on the one-surface layout
+        # land exactly on these thresholds
+        tau=st.sampled_from((0.0, 0.375, 1.125, 1.5)),
+        cell_m=st.sampled_from((None, 0.75)),
+    )
+    @example(scene_args=(7, 1, 3), closest=False, tau=1.125, cell_m=0.75)
+    def test_picks_are_the_passing_tuples_in_order(self, scene_args, closest, tau, cell_m):
+        k, r, seed = scene_args
+        scene = sample_targets(DEFAULT_BS, DEFAULT_IRS_LAYOUTS[r], k, 50.0, seed=seed)
+        sets = RangeSets.from_geometry(scene, cell_m=cell_m)
+        picks = candidate_picks(sets, scene, tau=tau, use_closest_irs=closest)
         assert len(picks) == k
         for level, row in enumerate(picks):
             want = [
@@ -480,7 +489,7 @@ class TestFeasibleCounts:
                 for t in itertools.starmap(
                     AssociationTuple, itertools.product([level], *[range(k)] * 3, range(r))
                 )
-                if consistency_check(sets, t, scene, 1.5)
+                if consistency_check(sets, t, scene, tau)
                 and (
                     not closest
                     or t.irs in closest_irs_candidates(scene, sets, t.direct1, t.direct2)

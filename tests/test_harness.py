@@ -408,6 +408,15 @@ class TestScoring:
         assert association_accuracy(outs) == pytest.approx(0.5)
 
 
+def numpy_mean_and_se(values):
+    """Mean and standard error straight from numpy: NaN for none, SE 0 for one."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return math.nan, math.nan
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se
+
+
 def oracle_cardinality_rows(cfg, k_values):
     """Cardinality rows from listed sets: two oracle enumerations per scene
     for several IRSs, one plus the selection search's survivors for one."""
@@ -428,8 +437,8 @@ def oracle_cardinality_rows(cfg, k_values):
             else:
                 pruned = reference_enumerate(sets, scene, cfg.tau_m, use_closest_irs=True)
                 reduced.append(len(pruned.solutions))
-        mean_feasible, se_feasible = harness._mean_and_se(feas)
-        mean_reduced, se_reduced = harness._mean_and_se(reduced)
+        mean_feasible, se_feasible = numpy_mean_and_se(feas)
+        mean_reduced, se_reduced = numpy_mean_and_se(reduced)
         rows.append(
             {
                 "k": k,
@@ -448,6 +457,13 @@ def oracle_cardinality_rows(cfg, k_values):
 
 
 class TestCardinality:
+    @pytest.mark.parametrize("values", ([], [2**60 + 1], [3, 7, 416]), ids=("0", "1", "3"))
+    def test_mean_and_se_matches_numpy(self, values):
+        got = harness._mean_and_se(values)
+        want = numpy_mean_and_se(values)
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for v in got)
+
     def test_rows_shape_and_counts(self):
         cfg = default_config(1, trials=30, seed=5)
         rows = cardinality_experiment(cfg, k_values=(2, 3))
@@ -877,6 +893,22 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "cardinality.csv").exists()
         assert "K=2" in capsys.readouterr().out
+
+    def test_cardinality_n_irs_against_config(self, tmp_path, capsys):
+        cfg_path = str(Path(__file__).parents[1] / "configs" / "single-irs-localize.json")
+        argv = ["cardinality", "--k-values", "2", "--trials", "2", "--out", str(tmp_path)]
+        # a count that contradicts the config is a usage error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg_path, "--n-irs", "3"])
+        assert exc.value.code == 2
+        assert "--n-irs 3" in capsys.readouterr().err
+        assert main(argv + ["--config", cfg_path, "--n-irs", "1"]) == 0
+        assert "R=1" in capsys.readouterr().out
+        # without a config the stock layout is used, one surface by default
+        assert main(argv + ["--n-irs", "3"]) == 0
+        assert "R=3" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "R=1" in capsys.readouterr().out
 
     def test_localize_command(self, tmp_path, capsys):
         rc = main(

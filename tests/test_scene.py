@@ -103,7 +103,7 @@ class TestLayoutRule:
 
     def test_rejected_layout_raises_on_every_call(self):
         # the layout memo keeps no exception, so nothing is remembered as valid
-        memo = scene_module._check_coerced_layout
+        memo = scene_module._layout_constants
         before = memo.cache_info().currsize
         for _ in range(3):
             with pytest.raises(ValueError, match="^bs must"):
@@ -124,7 +124,7 @@ class TestLayoutRule:
             assert all(type(p) is Point2D and type(p.x) is float for p in got[0] + got[1])
 
     def test_layout_memo_is_bounded(self):
-        memo = scene_module._check_coerced_layout
+        memo = scene_module._layout_constants
         bound = memo.cache_info().maxsize
         assert bound is not None
         for i in range(2 * bound + 5):
@@ -133,6 +133,19 @@ class TestLayoutRule:
         hits = memo.cache_info().hits
         check_layout(BS, ((float(2 * bound), 40.0),))
         assert memo.cache_info().hits == hits + 1
+
+    def test_memo_hit_keeps_the_callers_signed_zeros(self):
+        # 0.0 == -0.0, so a layout and its twin share one memo entry; the
+        # scene must still carry the caller's zeros and the reference's draws
+        plus = ((100.0, 0.0), (-100.0, 0.0)), ((0.0, 40.0), (70.0, 40.0))
+        minus = ((100.0, -0.0), (-100.0, 0.0)), ((-0.0, 40.0), (70.0, 40.0))
+        for first, second in ((plus, minus), (minus, plus)):
+            scene_module._layout_constants.cache_clear()
+            for layout in (first, second):
+                got = sample_targets(*layout, 6, 50.0, seed=4)
+                assert repr(got) == repr(reference_sample_targets(*layout, 6, 50.0, seed=4))
+            assert scene_module._layout_constants.cache_info().currsize == 1
+        assert "-0.0" in repr(check_layout(*minus)) and "-0.0" not in repr(check_layout(*plus))
 
     def test_mirror_needs_a_bs_line(self):
         with pytest.raises(ValueError, match="^bs must"):
