@@ -47,12 +47,18 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _add_common(p, with_k=True):
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--trials", type=int, help="Monte-Carlo trials")
+    p.add_argument("--trials", type=_positive_int, help="Monte-Carlo trials")
     p.add_argument("--seed", type=int, help="master seed")
     if with_k:
-        p.add_argument("--k", type=int, help="number of targets")
+        p.add_argument("--k", type=_positive_int, help="number of targets")
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -60,8 +66,7 @@ def cmd_cardinality(args) -> int:
     cfg = _load_config(args, n_irs=args.n_irs or 1)
     if args.n_irs not in (None, len(cfg.irs)):
         args.error(f"--n-irs {args.n_irs} does not match --config's IRS count {len(cfg.irs)}")
-    k_values = [int(v) for v in args.k_values.split(",")]
-    rows = cardinality_experiment(cfg, k_values)
+    rows = cardinality_experiment(cfg, args.k_values)
     out = _out_dir(args)
     write_rows_csv(out / "cardinality.csv", rows)
     for row in rows:
@@ -131,8 +136,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    seed = 1 if args.seed is None else args.seed
-    report = uniqueness_experiment(n_scenes=args.scenes, seed=seed)
+    report = uniqueness_experiment(n_scenes=args.scenes, seed=args.seed)
     out = _out_dir(args)
     (out / "uniqueness.json").write_text(json.dumps(report, indent=2) + "\n")
     print(
@@ -153,7 +157,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("cardinality", help="feasible-set size vs target count")
     _add_common(p, with_k=False)
-    p.add_argument("--k-values", default="2,3,4,5,6,7", help="comma-separated K list")
+    p.add_argument(
+        "--k-values", type=lambda s: [_positive_int(v) for v in s.split(",")],
+        default="2,3,4,5,6,7", help="comma-separated K list",
+    )
     p.add_argument("--n-irs", type=int, choices=(1, 2, 3), help="stock layout (default 1)")
     p.set_defaults(func=cmd_cardinality, error=p.error)
 
@@ -181,8 +188,8 @@ def main(argv=None) -> int:
         "uniqueness-check",
         help="perfect-range association uniqueness over random scenes",
     )
-    p.add_argument("--scenes", type=int, default=1000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--scenes", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_uniqueness)
 

@@ -429,14 +429,14 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
     r = len(cfg.irs)
     for k in k_values:
         kcfg = cfg if cfg.k == k else replace(cfg, k=int(k))
-        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-        feas = []
-        reduced = []
+        feas, reduced = [], []
         sampling_failures = 0
-        for s in seeds:
+        for i in range(cfg.trials):
+            # the state of SeedSequence(seed).spawn(trials)[i].spawn(1)[0]
+            scene_seed = np.random.SeedSequence(cfg.seed, spawn_key=(i, 0))
             try:
                 scene = sample_targets(
-                    kcfg.bs, kcfg.irs, kcfg.k, kcfg.target_radius_m, s.spawn(1)[0],
+                    kcfg.bs, kcfg.irs, kcfg.k, kcfg.target_radius_m, scene_seed,
                     cell_m=kcfg.ofdm.cell_m,
                 )
             except SceneSamplingError:
@@ -656,6 +656,8 @@ def uniqueness_experiment(n_scenes: int, seed: int = 1) -> dict:
     Scenes whose targets cannot be placed are skipped and counted in
     ``sampling_failures``.
     """
+    if n_scenes < 1:
+        raise ValueError("n_scenes must be >= 1")
     w = ResidualWeights()
     gn = GnConfig()
     seeds = np.random.SeedSequence(seed).spawn(n_scenes)

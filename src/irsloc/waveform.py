@@ -278,12 +278,18 @@ def ofdm_demodulate(samples: np.ndarray, cp_len: int) -> np.ndarray:
 def steering_matrix(subcarriers: tuple[int, ...], n_fft: int, n_taps: int) -> np.ndarray:
     """Delay steering matrix: entry (n, l) = exp(-2j*pi*(c_n - 1)*l / N).
 
-    Cached per comb since every trial of an experiment shares it, so the
-    comb must be a hashable tuple.  The returned array is read-only.
+    Entries are the N twiddles exp(-2j*pi*k/N), computed once and looked up
+    in row blocks at k = (c_n - 1)*l mod N.  Cached per comb since every trial
+    of an experiment shares it, so the comb must be a hashable tuple of
+    integers in 1..N.  The returned array is read-only.
     """
-    bins = np.asarray(subcarriers, dtype=float) - 1.0
-    grid = np.arange(n_taps, dtype=float)
-    g = np.exp(-2j * math.pi * np.outer(bins, grid) / n_fft)
+    comb = np.asarray(subcarriers)
+    if comb.ndim != 1 or comb.dtype.kind not in "iu" or not np.all((comb >= 1) & (comb <= n_fft)):
+        raise ValueError("subcarriers must be integers in 1..n_fft")
+    twiddle = np.exp(-2j * math.pi * np.arange(n_fft) / n_fft)
+    g = np.empty((comb.size, n_taps), dtype=complex)
+    for i in range(0, comb.size, 64):
+        twiddle.take(np.outer(comb[i:i + 64] - 1, np.arange(n_taps)) % n_fft, out=g[i:i + 64])
     g.setflags(write=False)
     return g
 

@@ -474,6 +474,26 @@ class TestCardinality:
             assert row["mean_reduced"] <= row["mean_feasible"]
             assert row["reduced_kind"] == "residual_pruned"
 
+    @pytest.mark.parametrize("seed", (0, 1, 2029))
+    def test_scene_seed_is_the_spawn_chains_state(self, monkeypatch, seed):
+        # scene i is drawn from SeedSequence(seed, spawn_key=(i, 0)), built
+        # directly; it must give the state of spawn(trials)[i].spawn(1)[0]
+        seen = []
+        sample = harness.sample_targets
+
+        def record(*args, **kwargs):
+            seen.append(args[4].generate_state(8))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_targets", record)
+        cardinality_experiment(default_config(1, trials=10, seed=seed), k_values=(2,))
+        chain = [
+            s.spawn(1)[0].generate_state(8) for s in np.random.SeedSequence(seed).spawn(10)
+        ]
+        assert len(seen) == 10
+        for got, want in zip(seen, chain):
+            np.testing.assert_array_equal(got, want)
+
     def test_multi_irs_uses_closest_filter(self):
         cfg = default_config(3, trials=10, seed=5)
         rows = cardinality_experiment(cfg, k_values=(2,))
@@ -844,6 +864,12 @@ class TestUniqueness:
         assert report["unique_and_correct"] == report["localized"] == 8
         assert report["failures"] == []
 
+    @pytest.mark.parametrize("n_scenes", (0, -3))
+    def test_no_scenes_is_an_error(self, n_scenes):
+        # a check over no scenes would pass with nothing checked
+        with pytest.raises(ValueError, match="n_scenes"):
+            uniqueness_experiment(n_scenes)
+
 
 class TestCsv:
     def test_localization_csv(self, tmp_path):
@@ -974,6 +1000,48 @@ class TestCli:
         assert main(argv + ["--seed", "0"]) == 0
         assert main(argv) == 0
         assert seen == [0, 1]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        (
+            (["uniqueness-check", "--scenes", "0"], "--scenes", "'0'"),
+            (["uniqueness-check", "--scenes", "-3"], "--scenes", "'-3'"),
+            (["localize", "--trials", "0"], "--trials", "'0'"),
+            (["localize", "--k", "0"], "--k", "'0'"),
+            (["localize", "--trials", "x"], "--trials", "'x'"),
+            (["topology", "--trials", "-1"], "--trials", "'-1'"),
+            (["cardinality", "--k-values", "2,,3"], "--k-values", "''"),
+            (["cardinality", "--k-values", "2,0"], "--k-values", "'0'"),
+            (["cardinality", "--trials", "0"], "--trials", "'0'"),
+        ),
+    )
+    def test_count_that_makes_no_sense_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv, flag, value
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        for name in (
+            "uniqueness_experiment",
+            "run_localization",
+            "cardinality_experiment",
+            "topology_experiment",
+        ):
+            monkeypatch.setattr(f"irsloc.cli.{name}", never)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value} is not a positive integer" in err
+        assert "Traceback" not in err
+
+    def test_k_values_are_parsed_into_ints(self, tmp_path, capsys):
+        argv = ["cardinality", "--trials", "1", "--out", str(tmp_path)]
+        assert main(argv + ["--k-values", "3, 5"]) == 0
+        assert re.findall(r"^K=(\d+) ", capsys.readouterr().out, re.M) == ["3", "5"]
+        # the default list goes through the same parser
+        assert main(argv) == 0
+        assert re.findall(r"^K=(\d+) ", capsys.readouterr().out, re.M) == list("234567")
 
 
 class TestReadme:

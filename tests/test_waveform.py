@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,49 @@ class TestSteering:
         g = steering_matrix(plan.bs1, n, n // 2)
         gram = g.conj().T @ g
         np.testing.assert_allclose(gram, (n // 2) * np.eye(n // 2), atol=1e-9)
+
+    @pytest.mark.parametrize("n", (16, 64, 2048))
+    def test_twiddle_lookup_is_the_reduced_phase_formula(self, n):
+        taps = n // 2
+        for comb in (make_plan(n).bs1, make_plan(n).bs2):
+            g = steering_matrix(comb, n, taps)
+            assert g.flags.c_contiguous and g.shape == (n // 2, taps)
+            k = np.outer(np.asarray(comb) - 1, np.arange(taps)) % n
+            np.testing.assert_array_equal(g, np.exp(-2j * np.pi * k / n))
+            # the unreduced phase differs only by its argument rounding
+            unreduced = np.exp(
+                -2j * math.pi * np.outer(np.asarray(comb, dtype=float) - 1.0, np.arange(taps)) / n
+            )
+            assert np.abs(g - unreduced).max() <= 1e-12
+
+    @pytest.mark.parametrize("bs", (0, 1))
+    def test_product_matches_fft_at_the_comb_bins(self, bs):
+        n, taps = 2048, 640
+        comb = make_plan(n).for_bs(bs)
+        g = steering_matrix(comb, n, taps)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            h = np.zeros(taps, dtype=complex)
+            cols = rng.choice(taps, size=11, replace=False)
+            h[cols] = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+            want = np.fft.fft(h, n)[np.asarray(comb) - 1]
+            assert np.abs(g @ h - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_build_holds_one_full_size_array(self):
+        comb = make_plan(2048).bs2
+        tracemalloc.start()
+        try:
+            g = steering_matrix.__wrapped__(comb, 2048, 640)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not g.flags.writeable and g.flags.c_contiguous
+        assert peak <= 1.25 * g.nbytes
+
+    @pytest.mark.parametrize("comb", ((0,), (17,), (1.5,), (1, 3, 17), (), ((1, 3),)), ids=repr)
+    def test_comb_outside_one_to_n_or_not_integer_raises(self, comb):
+        with pytest.raises(ValueError, match="integers in 1..n_fft"):
+            steering_matrix(comb, 16, 8)
 
 
 class TestPilots:
