@@ -13,7 +13,7 @@ Submodules follow the pipeline order:
 from .scene import Point2D, Scene, TopologyReport, check_topology, distance, sample_targets
 from .waveform import OfdmConfig, SubcarrierPlan, build_paths, make_plan, simulate_freq_rx
 from .ranging import RangeSets, RangingConfig, delay_to_range, lasso_solve
-from .association import AssociationTuple, count_unfiltered_solutions, enumerate_feasible
+from .association import AssociationTuple, count_unfiltered_solutions
 from .locate import GnConfig, ResidualWeights, gauss_newton_solve, localize
 from .harness import ExperimentConfig, default_config, error_probability, run_trial
 
@@ -37,7 +37,6 @@ __all__ = [
     "lasso_solve",
     "AssociationTuple",
     "count_unfiltered_solutions",
-    "enumerate_feasible",
     "GnConfig",
     "ResidualWeights",
     "gauss_newton_solve",

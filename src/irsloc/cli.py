@@ -53,10 +53,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _add_common(p, with_k=True):
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--trials", type=_positive_int, help="Monte-Carlo trials")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=_non_negative_int, help="master seed")
     if with_k:
         p.add_argument("--k", type=_positive_int, help="number of targets")
     p.add_argument("--out", default="out", help="output directory")
@@ -189,7 +195,7 @@ def main(argv=None) -> int:
         help="perfect-range association uniqueness over random scenes",
     )
     p.add_argument("--scenes", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_uniqueness)
 

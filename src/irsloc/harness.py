@@ -62,7 +62,6 @@ from .association import (
     closest_irs_rule,
     completion_counts,
     count_unfiltered_solutions,
-    enumerate_feasible,
     ground_truth_solution,
     rank_order,
     solutions_equivalent,
@@ -73,6 +72,7 @@ from .locate import (
     LocEstimate,
     ResidualWeights,
     SolveStats,
+    _select,
     fit_position,
     gauss_newton_solve,
     lexmin_select,
@@ -493,20 +493,6 @@ def _baseline_init(anchors, radii):
     return points[1] if fit[1] < fit[0] else points[0]
 
 
-def _free_slot_children(node):
-    """The baseline's search tree, in lexicographic order.
-
-    Node ``(level, free2, free3)`` branches over the triples ``(level, j2,
-    j3)`` of the target of rank ``level``, for each free slot ``j2`` of
-    anchor 2 and ``j3`` of anchor 3.
-    """
-    level, free2, free3 = node
-    for a, j2 in enumerate(free2):
-        rest2 = free2[:a] + free2[a + 1 :]
-        for b, j3 in enumerate(free3):
-            yield (level, j2, j3), (level + 1, rest2, free3[:b] + free3[b + 1 :])
-
-
 def run_baseline_trial(
     cfg: ExperimentConfig, trial: int, seed_seq, oracle: bool = False
 ) -> TrialOutcome:
@@ -514,14 +500,14 @@ def run_baseline_trial(
 
     The first IRS position hosts a third active BS that measures its own
     direct round-trip ranges, so association has no consistency filter to
-    lean on.  ``lexmin_select``, the main scheme's search, runs over
-    assignments of index triples: level ``i`` pins anchor 1's slot to target
-    rank ``i`` and branches over the free slots of anchors 2 and 3.  A triple
-    whose trilateration residual fails the main scheme's threshold cuts its
-    branch, and the lexicographically first minimum-total-residual
-    assignment wins.  Prefixes that use the same slots share one node, so
-    even the unpruned fallback visits at most C(2K, K) nodes, not (K!)²
-    paths.  Labeling, truth matching and scoring are ``run_trial``'s.
+    lean on.  ``lexmin_select``, the main scheme's search, walks a table of
+    index triples: level ``i`` holds every ``(i, j2, j3)``, anchor 1's slot
+    pinned to target rank ``i``, masked by slot ``j2`` of anchor 2 and ``j3``
+    of anchor 3.  A triple whose trilateration residual fails the main
+    scheme's threshold cuts its branch, and the lexicographically first
+    minimum-total-residual assignment wins.  A node is the mask of used
+    slots, so even the unpruned fallback visits at most C(2K, K) nodes, not
+    (K!)² paths.  Labeling, truth matching and scoring are ``run_trial``'s.
     """
     start = time.perf_counter()
     k = cfg.k
@@ -559,15 +545,9 @@ def run_baseline_trial(
     if oracle:
         result = _oracle_result(truth, fit, n_solutions)
     else:
-        slots = tuple(range(k))
-        result = lexmin_select(
-            k,
-            (0, slots, slots),
-            _free_slot_children,
-            fit,
-            cfg.gn.residual_threshold,
-            n_solutions,
-        )
+        pairs = [((j2, j3), 1 << j2 | 1 << (k + j3)) for j2 in range(k) for j3 in range(k)]
+        picks = [[((i, *pair), mask) for pair, mask in pairs] for i in range(k)]
+        result = lexmin_select(picks, fit, cfg.gn.residual_threshold, n_solutions)
     # target-wise equal range values, as solutions_equivalent compares them
     correct = all(
         ranges[a][p[a]] == ranges[a][q[a]]
@@ -652,9 +632,10 @@ def uniqueness_experiment(n_scenes: int, seed: int = 1) -> dict:
     Scenes cycle over all (K, R) combinations with the stock IRS layouts.
     With exact ranges and a tolerance near zero the consistency filter must
     leave exactly one solution, the true one, and the fit must reproduce the
-    true positions.  Reports the success count and the worst position error.
-    Scenes whose targets cannot be placed are skipped and counted in
-    ``sampling_failures``.
+    true positions.  The count, the solution and its fits come from one
+    selection over the scene's ``candidate_picks``, listing nothing.  Reports
+    the success count and the worst position error.  Scenes whose targets
+    cannot be placed are skipped and counted in ``sampling_failures``.
     """
     if n_scenes < 1:
         raise ValueError("n_scenes must be >= 1")
@@ -678,27 +659,25 @@ def uniqueness_experiment(n_scenes: int, seed: int = 1) -> dict:
             sampling_failures += 1
             continue
         sets = RangeSets.from_geometry(scene, cell_m=None)
-        feasible = enumerate_feasible(sets, scene, UNIQUENESS_TAU_M, use_closest_irs=False)
+        result = _select(candidate_picks(sets, scene, UNIQUENESS_TAU_M), sets, scene, w, gn)
         truth = ground_truth_solution(scene, sets, cell_m=None)
-        ok = (
-            len(feasible.solutions) == 1
+        if (
+            result.stats.n_solutions == 1
             and truth is not None
-            and solutions_equivalent(sets, feasible.solutions[0], truth)
-        )
-        if ok:
+            and solutions_equivalent(sets, result.solution, truth)
+        ):
             unique += 1
-            truths = _true_positions_by_rank(scene)
-            errs = []
-            for t, true_pos in zip(feasible.solutions[0], truths):
-                est = gauss_newton_solve(sets, t, scene, w, gn)
-                errs.append(distance(est.position, true_pos))
-            worst = max(worst, max(errs))
-            if max(errs) <= UNIQUENESS_POSITION_TOL_M:
+            err = max(
+                distance(est.position, true_pos)
+                for est, true_pos in zip(result.estimates, _true_positions_by_rank(scene))
+            )
+            worst = max(worst, err)
+            if err <= UNIQUENESS_POSITION_TOL_M:
                 successes += 1
             else:
-                failures.append({"scene": i, "k": k, "r": r, "worst_err": max(errs)})
+                failures.append({"scene": i, "k": k, "r": r, "worst_err": err})
         else:
-            failures.append({"scene": i, "k": k, "r": r, "n_solutions": len(feasible.solutions)})
+            failures.append({"scene": i, "k": k, "r": r, "n_solutions": result.stats.n_solutions})
     return {
         "scenes": n_scenes,
         "sampling_failures": sampling_failures,

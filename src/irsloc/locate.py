@@ -10,17 +10,17 @@ ranges and sigmas become arrays once per fit, so each evaluation gives all
 residuals and the Jacobian in one array expression, and each damped 2x2
 step ``(JᵀJ + λI) s = -Jᵀr`` is solved in closed form on Python floats.
 
-Solution selection is one memoized recursion over a search tree,
-``lexmin_select``, shared with the three-active-BS baseline.  A tree level
-is one target; each distinct tuple reached is fit once, and a tuple whose
-fit residual reaches a threshold cuts its branch, so a solution holding
-such a tuple is never completed.  The surviving solution with the smallest
-total residual wins, ties broken lexicographically.  If pruning eliminates
-everything the recursion repeats without the threshold, so a localization
-answer always exists whenever the feasible set is nonempty.  Localization
-builds the tree from the scene's pick table: a node is the set of list
-entries used so far, and a pick is a child only when the entries it leaves
-can still complete a solution, so no feasible set is listed.
+Solution selection is one memoized recursion over a pick table,
+``lexmin_select``, shared with the three-active-BS baseline.  Level ``i``
+holds the picks of the target of rank ``i`` and a node is the set of list
+entries used so far; each distinct tuple reached is fit once, and a tuple
+whose fit residual reaches a threshold cuts its branch.  The surviving
+solution with the smallest total residual wins, ties broken
+lexicographically.  If pruning eliminates everything the recursion repeats
+without the threshold, so an answer exists whenever the feasible set is
+nonempty.  Localization walks the scene's ``candidate_picks``, taking a
+pick only when the entries it leaves can still complete a solution, so no
+feasible set is listed.
 """
 
 import functools
@@ -259,65 +259,66 @@ class LocalizationResult:
 
 
 def lexmin_select(
-    k: int, root, children, fit, threshold: float, n_solutions: int
+    picks, fit, threshold: float, n_solutions: int, live=None
 ) -> LocalizationResult:
-    """Lexicographically first minimum-total-residual path, by memoized recursion.
+    """Lexicographically first minimum-total-residual solution of a pick table.
 
-    The tree is ``k`` levels deep; ``children(node)`` yields ``(tuple,
-    child)`` pairs in lexicographic order, and equal nodes root equal
-    subtrees.  ``walk`` runs once per distinct node and returns its
-    subtree's number of complete paths whose every tuple stays below
-    ``threshold``, their smallest total residual and the first path with
-    that total.  ``fit`` runs once per distinct tuple reached.  Totals are
-    summed from the last level up, and only a strictly smaller total
-    replaces a node's best, so the first minimum in lexicographic order
-    wins.  When no path survives and the tree has any of its
-    ``n_solutions`` paths, a second walk drops the threshold.
+    ``picks[i]`` holds level ``i``'s ``(tuple, entry_mask)`` pairs in
+    lexicographic order.  A node is the int of entries used so far, so
+    prefixes that used the same entries share one node (a subset DP, as in
+    Held and Karp 1962); a pick is a child when its mask is free and ``live``
+    is None or ``live(used | mask)`` holds.  ``walk`` runs once per node and
+    returns its number of complete solutions whose every tuple stays below
+    ``threshold``, their smallest total residual and the first solution with
+    that total; ``fit`` runs once per distinct tuple reached.  Totals are
+    summed from the last level up, and only a strictly smaller total replaces
+    a node's best, so the first minimum in lexicographic order wins.  When no
+    solution survives and any of the ``n_solutions`` exist, a second walk
+    drops the threshold.
     """
     solve = functools.cache(fit)
 
     @functools.cache
-    def walk(node, depth: int, enforce: bool):
-        if depth == k:
+    def walk(used: int, level: int, enforce: bool):
+        if level == len(picks):
             return 1, 0.0, ()
         survivors, best_total, best = 0, math.inf, None
-        for t, child in children(node):
+        for t, mask in picks[level]:
+            if used & mask or (live is not None and not live(used | mask)):
+                continue
             residual = solve(t).residual
             if enforce and residual >= threshold:
                 continue
-            count, total, path = walk(child, depth + 1, enforce)
+            count, total, path = walk(used | mask, level + 1, enforce)
             survivors += count
             if residual + total < best_total:
                 best_total, best = residual + total, (t,) + path
         return survivors, best_total, best
 
-    survivors, _, best = walk(root, 0, True)
+    survivors, _, best = walk(0, 0, True)
     fallback = best is None and n_solutions > 0
     if fallback:
-        best = walk(root, 0, False)[2]
+        best = walk(0, 0, False)[2]
     stats = SolveStats(n_solutions, survivors, solve.cache_info().currsize, fallback)
     estimates = () if best is None else tuple(solve(t) for t in best)
     return LocalizationResult(solution=best, estimates=estimates, stats=stats)
 
 
 def _select(picks, sets: RangeSets, scene: Scene, w: ResidualWeights, cfg: GnConfig):
-    """``lexmin_select`` over a pick table, one node per set of used entries.
+    """``lexmin_select`` over a scene's pick table, listing no solution.
 
-    A node's children are the next level's picks that use no entry of the
-    node and leave completions (``completion_counts``), so the tree holds
-    exactly the solutions the table counts, and none is listed.
+    A pick is live when the entries it leaves still have completions
+    (``completion_counts``), so the walk reaches exactly the solutions the
+    table counts.
     """
     count = completion_counts(picks)
-
-    def children(used):
-        for t, mask in picks[used.bit_count() // 3]:
-            if not used & mask and count(used | mask)[0]:
-                yield t, used | mask
 
     def fit(t):
         return gauss_newton_solve(sets, t, scene, w, cfg)
 
-    return lexmin_select(len(picks), 0, children, fit, cfg.residual_threshold, count(0)[0])
+    return lexmin_select(
+        picks, fit, cfg.residual_threshold, count(0)[0], live=lambda used: count(used)[0]
+    )
 
 
 def select_association(

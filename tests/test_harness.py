@@ -202,7 +202,6 @@ class TestTrials:
             raise AssertionError("run_trial listed the feasible set")
 
         for module, name in (
-            (harness, "enumerate_feasible"),
             (association, "enumerate_feasible"),
             (locate, "select_association"),
         ):
@@ -563,7 +562,6 @@ class TestCardinality:
             raise AssertionError("cardinality_experiment listed or selected")
 
         for module, name in (
-            (harness, "enumerate_feasible"),
             (harness, "lexmin_select"),
             (association, "enumerate_feasible"),
             (locate, "select_association"),
@@ -864,6 +862,23 @@ class TestUniqueness:
         assert report["unique_and_correct"] == report["localized"] == 8
         assert report["failures"] == []
 
+    def test_runs_without_listing(self, monkeypatch):
+        # criterion 2 counts, selects and fits on the pick table, as
+        # localization does: it must not list the feasible set
+        def forbidden(*args, **kwargs):
+            raise AssertionError("uniqueness_experiment listed the feasible set")
+
+        for module, name in (
+            (association, "enumerate_feasible"),
+            (locate, "select_association"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        assert not hasattr(harness, "enumerate_feasible")
+        report = uniqueness_experiment(18)
+        assert report["sampling_failures"] == 0
+        assert report["localized"] == report["unique_and_correct"] == 18
+        assert report["failures"] == []
+
     @pytest.mark.parametrize("n_scenes", (0, -3))
     def test_no_scenes_is_an_error(self, n_scenes):
         # a check over no scenes would pass with nothing checked
@@ -1033,6 +1048,38 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: {value} is not a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["localize", "--seed", "-1"],
+            ["uniqueness-check", "--seed", "-2"],
+            ["cardinality", "--seed", "-1"],
+            ["topology", "--seed", "-5"],
+            ["baseline", "--seed", "-1"],
+            ["localize", "--seed", "x"],
+        ),
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # SeedSequence rejects negative entropy with a traceback; argparse
+        # must reject the seed first
+        def never(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        for name in (
+            "uniqueness_experiment",
+            "run_localization",
+            "cardinality_experiment",
+            "topology_experiment",
+            "baseline_3bs",
+        ):
+            monkeypatch.setattr(f"irsloc.cli.{name}", never)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: {argv[-1]!r} is not a non-negative integer" in err
         assert "Traceback" not in err
 
     def test_k_values_are_parsed_into_ints(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from irsloc import locate
 from irsloc.association import FeasibleSet, enumerate_feasible, ground_truth_solution
-from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS, _free_slot_children
+from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
 from irsloc.locate import (
     GnConfig,
     LocEstimate,
@@ -437,35 +437,60 @@ class TestFitOracle:
             assert_fit_matches(est, ref, threshold)
 
 
-def brute_force_lexmin(k, residual, threshold):
-    """``lexmin_select`` on the free-slot tree by listing every path.
+def free_slot_table(k):
+    """The baseline's pick table: rank ``i`` takes slot ``j2`` of one list and
+    ``j3`` of another, one mask bit per slot."""
+    return [
+        [((i, j2, j3), 1 << j2 | 1 << (k + j3)) for j2 in range(k) for j3 in range(k)]
+        for i in range(k)
+    ]
 
-    Paths pair target rank ``i`` with slots ``p2[i]`` and ``p3[i]`` for
-    every two permutations, in lexicographic order.  Returns the chosen
-    path, the survivor count, the fallback flag and the tuples a search
-    reaches: every tuple whose path prefix passes the threshold, or every
-    tuple once the fallback runs.
-    """
-    paths = sorted(
+
+def free_slot_paths(k):
+    """Every path of the free-slot table, in lexicographic order."""
+    return sorted(
         tuple(zip(range(k), p2, p3))
         for p2 in itertools.permutations(range(k))
         for p3 in itertools.permutations(range(k))
     )
 
+
+def slots_used(k, prefix):
+    """The mask of the slots a path prefix uses."""
+    return sum(1 << j2 | 1 << (k + j3) for _, j2, j3 in prefix)
+
+
+def brute_force_lexmin(k, residual, threshold, dead=frozenset()):
+    """``lexmin_select`` on the free-slot tree by listing every path.
+
+    Paths pair target rank ``i`` with slots ``p2[i]`` and ``p3[i]`` for
+    every two permutations, in lexicographic order; a path with a prefix
+    whose used slots are in ``dead`` is cut, as ``live`` cuts it.  Returns
+    the chosen path (None when every path is cut), the survivor count, the
+    fallback flag, the tuples a search reaches (every tuple whose path
+    prefix is live and passes the threshold, or is live once the fallback
+    runs) and the number of uncut paths.
+    """
+    paths = free_slot_paths(k)
+
     def passes(ts):
         return all(residual[t] < threshold for t in ts)
 
-    survivors = [p for p in paths if passes(p)]
-    fallback = not survivors
-    pool = paths if fallback else survivors
-    best = min(pool, key=lambda p: sum(residual[t] for t in p))
+    def alive(p, level):
+        return all(slots_used(k, p[:n]) not in dead for n in range(1, level + 1))
+
+    uncut = [p for p in paths if alive(p, k)]
+    survivors = [p for p in uncut if passes(p)]
+    fallback = not survivors and bool(uncut)
+    pool = uncut if fallback else survivors
+    best = min(pool, key=lambda p: sum(residual[t] for t in p), default=None)
     reached = {
         p[level]
         for p in paths
         for level in range(k)
-        if fallback or passes(p[:level])
+        if alive(p, level + 1) and (fallback or passes(p[:level]))
     }
-    return best, len(survivors), fallback, reached
+    return best, len(survivors), fallback, reached, len(uncut)
 
 
 class TestLexminSelect:
@@ -488,15 +513,49 @@ class TestLexminSelect:
             calls.append(t)
             return LocEstimate(Point2D(0.0, 0.0), residual[t], True, 1)
 
-        slots = tuple(range(k))
         n_paths = math.factorial(k) ** 2
-        res = lexmin_select(
-            k, (0, slots, slots), _free_slot_children, fit, threshold, n_paths
-        )
-        best, survivors, fallback, reached = brute_force_lexmin(k, residual, threshold)
+        res = lexmin_select(free_slot_table(k), fit, threshold, n_paths)
+        best, survivors, fallback, reached, _ = brute_force_lexmin(k, residual, threshold)
         assert res.solution == best
         assert [e.residual for e in res.estimates] == [residual[t] for t in best]
         assert res.stats.n_solutions == n_paths
+        assert res.stats.n_survivors == survivors
+        assert res.stats.fallback is fallback
+        assert len(calls) == len(set(calls)) == res.stats.solver_calls
+        assert set(calls) == reached
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 3),
+        threshold=st.sampled_from((1e-12, 8.0, 16.0)),
+    )
+    def test_live_cuts_children_as_brute_force_does(self, data, k, threshold):
+        # live(used) rejects the nodes in a drawn set of used-slot masks: the
+        # walk must neither fit past them nor count or choose a path through
+        # them, and falls back only when some path avoids them all
+        tuples = list(itertools.product(range(k), repeat=3))
+        lattice = st.integers(0, 80).map(lambda n: n / 4.0)
+        values = data.draw(st.lists(lattice, min_size=len(tuples), max_size=len(tuples)))
+        residual = dict(zip(tuples, values))
+        nodes = sorted(
+            {slots_used(k, p[:n]) for p in free_slot_paths(k) for n in range(1, k + 1)}
+        )
+        dead = frozenset(data.draw(st.sets(st.sampled_from(nodes))))
+        calls = []
+
+        def fit(t):
+            calls.append(t)
+            return LocEstimate(Point2D(0.0, 0.0), residual[t], True, 1)
+
+        best, survivors, fallback, reached, n_uncut = brute_force_lexmin(
+            k, residual, threshold, dead
+        )
+        res = lexmin_select(
+            free_slot_table(k), fit, threshold, n_uncut, live=lambda used: used not in dead
+        )
+        assert res.solution == best
+        assert [e.residual for e in res.estimates] == [residual[t] for t in best or ()]
         assert res.stats.n_survivors == survivors
         assert res.stats.fallback is fallback
         assert len(calls) == len(set(calls)) == res.stats.solver_calls
