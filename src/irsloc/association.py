@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import Point2D, Scene, distance, echo_lengths
+from .scene import Point2D, Scene, _layout_constants, distance, echo_lengths
 from .ranging import RangeSets, quantize_range
 
 
@@ -168,7 +168,8 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
     """
     (x1, y1), (x2, y2) = scene.bs
     irs, (direct1s, direct2s) = scene.irs, sets.direct
-    d = math.hypot(x2 - x1, y2 - y1)
+    hypot, surfaces = math.hypot, range(len(irs))
+    d = hypot(x2 - x1, y2 - y1)
     ex, ey = (x2 - x1) / d, (y2 - y1) / d
 
     @functools.cache
@@ -181,11 +182,13 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
         a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
         h = math.sqrt(max(r1 * r1 - a * a, 0.0))
         mx, my = x1 + a * ex, y1 + a * ey
-        near = []
+        near = set()
         for px, py in ((mx + h * (-ey), my + h * ex), (mx - h * (-ey), my - h * ex)):
-            dists = [math.hypot(qx - px, qy - py) for qx, qy in irs]
+            dists = [hypot(qx - px, qy - py) for qx, qy in irs]
             cut = min(dists) + 1e-9
-            near += [r for r, dist in enumerate(dists) if dist <= cut]
+            for r in surfaces:
+                if dists[r] <= cut:
+                    near.add(r)
         return frozenset(near)
 
     return rule
@@ -206,11 +209,14 @@ def _gap_grid(sets: RangeSets, scene: Scene, tau: float):
         raise ValueError(f"unbalanced range lists {sets.counts()}; need K entries each")
     d1, d2 = (np.asarray(d) for d in sets.direct)
     v1, v2 = (np.asarray(v) for v in sets.via_irs)
-    d_bi = np.array([[distance(b, q) for q in scene.irs] for b in scene.bs])
     a1 = v1[None, :] - 0.5 * d1[:, None]
     a2 = v2[None, :] - 0.5 * d2[:, None]
-    bi_gap = d_bi[0] - d_bi[1]
-    return k, np.abs(a1[:, None, :, None, None] - a2[None, :, None, :, None] - bi_gap)
+    diff = a1[:, None, :, None] - a2[None, :, None, :]
+    gaps = np.empty(diff.shape + (scene.n_irs,))
+    # one K^4 pass per surface: broadcasting it innermost loops over R cells at a time
+    for g, (b1, b2) in enumerate(zip(*_layout_constants(scene.bs, scene.irs)[1])):
+        np.subtract(diff, b1 - b2, out=gaps[..., g])
+    return k, np.abs(gaps, out=gaps)
 
 
 def entry_mask(t: AssociationTuple, k: int) -> int:
@@ -230,12 +236,14 @@ def candidate_picks(sets: RangeSets, scene: Scene, tau: float, use_closest_irs: 
     k, gaps = _gap_grid(sets, scene, tau)
     allowed = closest_irs_rule(scene, sets) if use_closest_irs else None
     picks = [[] for _ in range(k)]
+    make = AssociationTuple._make
     # flat indices: a 5-D nonzero or argwhere costs several times as much
     hits = np.unravel_index(np.flatnonzero(gaps < tau), gaps.shape)
-    for i, j, a, b, g in zip(*(idx.tolist() for idx in hits)):
+    for hit in zip(*(idx.tolist() for idx in hits)):
+        i, j, a, b, g = hit
         if allowed is None or g in allowed(i, j):
             mask = 1 << j | 1 << (k + a) | 1 << (2 * k + b)  # entry_mask, inline
-            picks[i].append((AssociationTuple(i, j, a, b, g), mask))
+            picks[i].append((make(hit), mask))
     return picks
 
 
@@ -245,10 +253,12 @@ def completion_counts(picks, keep=None):
     ``used`` is the union of the entry masks picked so far.  ``n_all``
     counts the ways to finish the remaining levels without reusing an
     entry, and ``n_kept`` those whose every tuple passes ``keep`` (all for
-    None); ``count(0)`` counts whole solutions.  Completions depend only on
-    the used entries, hence the memo (a subset DP, as in Held and Karp
-    1962).  ``keep`` runs at most once per tuple, and only where the entries
-    left have kept completions, so a costly predicate skips dead ends.
+    None).  ``count(0)`` counts whole solutions, the same in any level
+    order; ``count(used)`` finishes the last ``k - used.bit_count() // 3``
+    levels, so it depends on the order.  Completions depend only on the used
+    entries, hence the memo (a subset DP, as in Held and Karp 1962).
+    ``keep`` runs at most once per tuple, and only where the entries left
+    have kept completions, so a costly predicate skips dead ends.
     """
     k = len(picks)
     passes = functools.cache(keep) if keep is not None else None

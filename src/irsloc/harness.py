@@ -399,7 +399,7 @@ def _mean_and_se(values) -> tuple[float, float]:
     """Sample mean and its standard error; both NaN for no values."""
     if not values:
         return math.nan, math.nan
-    if len(values) == 1:  # what numpy gives, without its fixed cost
+    if len(values) == 1:  # SE 0 by convention: numpy's std(ddof=1) gives NaN
         return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
@@ -443,9 +443,9 @@ def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
                 sampling_failures += 1
                 continue
             sets = RangeSets.from_geometry(scene, cell_m=kcfg.ofdm.cell_m)
-            n_feasible, n_kept = completion_counts(
-                candidate_picks(sets, scene, kcfg.tau_m), _second_stage(kcfg, scene, sets)
-            )(0)
+            # fewest picks first: count(0) is order-free, and the memo holds fewer sets
+            picks = sorted(candidate_picks(sets, scene, kcfg.tau_m), key=len)
+            n_feasible, n_kept = completion_counts(picks, _second_stage(kcfg, scene, sets))(0)
             feas.append(n_feasible)
             reduced.append(n_kept)
         mean_feasible, se_feasible = _mean_and_se(feas)

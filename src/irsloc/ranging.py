@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, delay_cell, distance, echo_lengths
+from .scene import Scene, _layout_constants, delay_cell, distance, echo_lengths
 from .waveform import BsSnapshot, OfdmConfig
 
 
@@ -243,9 +243,9 @@ class RangeSets:
         """
         direct = []
         via = []
-        for bs_pos in scene.bs:
+        for bs_pos, d_bi in zip(scene.bs, _layout_constants(scene.bs, scene.irs)[1]):
             echoes = [
-                echo_lengths(bs_pos, scene.irs[g], t)
+                echo_lengths(bs_pos, scene.irs[g], t, d_bi=d_bi[g])
                 for t, g in zip(scene.targets, scene.true_irs)
             ]
             direct.append(tuple(sorted(quantize_range(d, cell_m) for d, _ in echoes)))

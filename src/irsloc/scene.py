@@ -242,8 +242,9 @@ def sample_targets(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = float(radius)
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     bs, irs = check_layout(bs, irs)
     frames, d_bi = _layout_constants(bs, irs)
     rng = np.random.default_rng(seed)
@@ -255,7 +256,7 @@ def sample_targets(
         for m, row in enumerate(d_bi):
             occupied[m].update(delay_cell(2.0 * d, cell_m) for d in row)
 
-    targets: list[tuple[float, float]] = []  # Scene coerces them to Point2D
+    targets: list[Point2D] = []
     assignment: list[int] = []
     for _ in range(k):
         for attempt in range(max_attempts_per_target):
@@ -272,17 +273,17 @@ def sample_targets(
                 continue
             if cell_m is not None:
                 cells = []
-                for m, bs_pos in enumerate(bs):
-                    direct, via = echo_lengths(bs_pos, irs[g], (x, y), dists[g], d_bi[m][g])
-                    cells.append((delay_cell(direct, cell_m), delay_cell(via, cell_m)))
-                if any(
-                    d == v or d in occupied[m] or v in occupied[m]
-                    for m, (d, v) in enumerate(cells)
-                ):
+                for bs_pos, row, taken in zip(bs, d_bi, occupied):
+                    direct, via = echo_lengths(bs_pos, irs[g], (x, y), dists[g], row[g])
+                    d, v = delay_cell(direct, cell_m), delay_cell(via, cell_m)
+                    if d == v or d in taken or v in taken:
+                        break
+                    cells.append((d, v))
+                if len(cells) < len(bs):  # a collision ended the check
                     continue
-                for m, pair in enumerate(cells):
-                    occupied[m].update(pair)
-            targets.append((x, y))
+                for taken, pair in zip(occupied, cells):
+                    taken.update(pair)
+            targets.append(Point2D(x, y))
             assignment.append(g)
             break
         else:
@@ -290,7 +291,10 @@ def sample_targets(
                 f"could not place target {len(targets)} after "
                 f"{max_attempts_per_target} attempts"
             )
-    return Scene(bs=bs, irs=irs, targets=tuple(targets), true_irs=tuple(assignment))
+    # no Scene.__post_init__: the draw made its checks, the argmin more strictly
+    scene = object.__new__(Scene)
+    scene.__dict__.update(bs=bs, irs=irs, targets=tuple(targets), true_irs=tuple(assignment))
+    return scene
 
 
 def mirror_across_bs_line(bs, point) -> Point2D:

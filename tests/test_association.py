@@ -554,6 +554,34 @@ class TestFeasibleCounts:
         assert len(seen) == len(set(seen))
         assert set(seen) == {t for sol in solutions for t in sol}
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scene_args=stock_scenes(6),
+        keep_kind=st.sampled_from(("none", "closest", "residual")),
+        order=st.permutations(range(6)),
+    )
+    # the closest-surface rule on three surfaces at K=6, fewest picks first
+    @example(scene_args=(6, 3, 1), keep_kind="closest", order=None)
+    def test_whole_count_does_not_depend_on_level_order(self, scene_args, keep_kind, order):
+        k, r, seed = scene_args
+        # the residual keep is the one-surface second stage
+        scene, sets = stock_scene_and_sets(k, 1 if keep_kind == "residual" else r, seed)
+        picks = candidate_picks(sets, scene, tau=1.5)
+        if keep_kind == "none":
+            keep = None
+        elif keep_kind == "closest":
+            rule = closest_irs_rule(scene, sets)
+            keep = lambda t: t.irs in rule(t.direct1, t.direct2)  # noqa: E731
+        else:
+            w, cfg = ResidualWeights.from_cell(0.75), GnConfig()
+            keep = lambda t: (  # noqa: E731
+                gauss_newton_solve(sets, t, scene, w, cfg).residual < cfg.residual_threshold
+            )
+        if order is None:  # fewest picks first
+            order = sorted(range(k), key=lambda i: len(picks[i]))
+        permuted = [picks[i] for i in order if i < k]
+        assert completion_counts(permuted, keep)(0) == completion_counts(picks, keep)(0)
+
 
 class TestGroundTruth:
     def test_missing_range_returns_none(self):

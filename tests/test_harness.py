@@ -555,6 +555,37 @@ class TestCardinality:
         assert calls == [3] * 4 + [4] * 4
 
     @pytest.mark.parametrize("n_irs", (1, 3))
+    def test_counts_fewest_picks_first(self, monkeypatch, n_irs):
+        # each scene's table arrives with its levels in a stable sort by
+        # pick count, and holds exactly candidate_picks' picks
+        cfg = default_config(n_irs, trials=8, seed=4)
+        tables = []
+        completion_counts = harness.completion_counts
+
+        def recording_counts(picks, *args, **kwargs):
+            tables.append(picks)
+            return completion_counts(picks, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "completion_counts", recording_counts)
+        cardinality_experiment(cfg, k_values=(4, 6))
+        natural = []
+        for k in (4, 6):
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+                scene = sample_targets(
+                    cfg.bs, cfg.irs, k, cfg.target_radius_m, s.spawn(1)[0],
+                    cell_m=cfg.ofdm.cell_m,
+                )
+                sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
+                natural.append(association.candidate_picks(sets, scene, cfg.tau_m))
+        assert len(tables) == len(natural) == 16
+        for got, picks in zip(tables, natural):
+            sizes = [len(level) for level in got]
+            assert sizes == sorted(sizes)
+            assert got == sorted(picks, key=len)
+        # the sort reorders some scene's levels here
+        assert any(got != picks for got, picks in zip(tables, natural))
+
+    @pytest.mark.parametrize("n_irs", (1, 3))
     def test_counts_without_listing_or_selecting(self, monkeypatch, n_irs):
         # counting must not fall back to listing the feasible set or to the
         # selection search, at either kind of second stage

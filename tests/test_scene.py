@@ -224,6 +224,10 @@ class TestSampling:
             sample_targets(BS, ((0.0, 40.0),), 0, 50.0, seed=1)
         with pytest.raises(ValueError):
             sample_targets(BS, ((0.0, 40.0),), 2, -1.0, seed=1)
+        # a non-finite radius would place non-finite targets
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius must"):
+                sample_targets(BS, ((0.0, 40.0),), 2, radius, seed=1, cell_m=None)
 
     def test_radius_and_irs_side(self):
         irs = ((-60.0, 40.0), (70.0, 40.0))
@@ -317,3 +321,41 @@ class TestSampling:
             return repr(scene.targets), scene.true_irs
 
         assert outcome(sample_targets) == outcome(reference_sample_targets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bs=st.sampled_from(LAYOUT_BS_PAIRS + TILTED_BS_PAIRS),
+        irs=st.lists(st.sampled_from(LAYOUT_IRS_POOL), min_size=1, max_size=3),
+        k=st.integers(1, 7),
+        radius=st.sampled_from((10.0, 50.0, 150.0)),
+        cell_m=st.sampled_from((None, DEFAULT_CELL_M)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # signed zeros in both the BS pair and the surfaces
+    @example(
+        bs=((100.0, -0.0), (-100.0, 0.0)),
+        irs=[(-0.0, 40.0), (70.0, 40.0)],
+        k=5,
+        radius=50.0,
+        cell_m=DEFAULT_CELL_M,
+        seed=1,
+    )
+    # a numpy radius: the targets must still hold plain floats
+    @example(
+        bs=TILTED_BS_PAIRS[1],
+        irs=[(0.0, 40.0), (80.0, -60.0), (-60.0, 80.0)],
+        k=6,
+        radius=np.float64(50.0),
+        cell_m=DEFAULT_CELL_M,
+        seed=7,
+    )
+    def test_sampled_scene_passes_full_validation(self, bs, irs, k, radius, cell_m, seed):
+        # the sampler skips Scene.__post_init__; the scene it returns must
+        # be one that construction accepts and leaves unchanged
+        try:
+            s = sample_targets(bs, irs, k, radius, seed, cell_m=cell_m, max_attempts_per_target=200)
+        except (ValueError, SceneSamplingError):
+            return
+        again = Scene(bs=s.bs, irs=s.irs, targets=s.targets, true_irs=s.true_irs)
+        assert again == s
+        assert repr(again) == repr(s)

@@ -8,7 +8,9 @@ run's name to the SHA-256 digest of its outputs:
   the waveform path at K=4 with three, and the oracle mode) and of
   ``baseline_3bs`` (K 2-8, oracle and forced fallback for K 2-6), each at
   seeds 1 and 2029;
-* the ``cardinality_experiment`` rows for one surface, K 2-6;
+* the ``cardinality_experiment`` rows for one surface, K 2-6, and, at
+  seeds 1 and 2029, for two surfaces, K 2-6, and three, K 2-8 (25 scenes
+  each);
 * the ``uniqueness_experiment(90)`` report at seeds 1 and 0, as the CLI
   writes it.
 
@@ -19,7 +21,7 @@ against the source tree before and after it and comparing the two files::
     PYTHONPATH=src python3 tools/outcome_digests.py > after.json
     diff before.json after.json
 
-It takes about 15 s on one core and has no flags.
+It takes about 16 s on one core and has no flags.
 """
 
 import hashlib
@@ -46,6 +48,9 @@ LOCALIZATION = {
     "oracle-k4-r1": (1, 4, 100, True, True),
 }
 
+# (surfaces, largest K) of the closest-surface cardinality runs
+CARDINALITY = ((2, 6), (3, 8))
+
 
 def _outcomes_text(outcomes) -> str:
     return "\n".join(repr(replace(o, wall_time_s=0.0)) for o in outcomes)
@@ -70,6 +75,12 @@ def _runs():
                 )
     rows = cardinality_experiment(default_config(1, trials=25), range(2, 7))
     yield "cardinality r=1 k=2-6", json.dumps(rows)
+    for n_irs, k_max in CARDINALITY:
+        for seed in SEEDS:
+            rows = cardinality_experiment(
+                default_config(n_irs, trials=25, seed=seed), range(2, k_max + 1)
+            )
+            yield f"cardinality r={n_irs} k=2-{k_max} seed={seed}", json.dumps(rows)
     for seed in (1, 0):
         # the bytes the CLI writes to uniqueness.json
         report = uniqueness_experiment(90, seed=seed)
