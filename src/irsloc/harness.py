@@ -72,8 +72,11 @@ from .locate import (
     LocEstimate,
     ResidualWeights,
     SolveStats,
+    _constraints,
     _select,
+    default_init,
     fit_position,
+    fit_stays_below,
     gauss_newton_solve,
     lexmin_select,
     localize,
@@ -168,6 +171,18 @@ def required_taps(bs, irs, radius_m: float, cfg: OfdmConfig) -> int:
     return ((taps + 63) // 64) * 64
 
 
+def _widen_window(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with its tap window (and cyclic prefix) grown to ``required_taps``.
+
+    Never narrows the window, and changes no other OFDM setting.
+    """
+    taps = required_taps(cfg.bs, cfg.irs, cfg.target_radius_m, cfg.ofdm)
+    if taps <= cfg.ofdm.n_taps:
+        return cfg
+    ofdm = replace(cfg.ofdm, cp_len=max(cfg.ofdm.cp_len, taps), n_taps=taps)
+    return replace(cfg, ofdm=ofdm)
+
+
 def default_config(n_irs: int = 1, **overrides) -> ExperimentConfig:
     """Stock geometry for the given IRS count (1, 2 or 3).
 
@@ -178,13 +193,7 @@ def default_config(n_irs: int = 1, **overrides) -> ExperimentConfig:
     if n_irs not in DEFAULT_IRS_LAYOUTS:
         raise ValueError("stock layouts exist for 1, 2 or 3 IRSs")
     cfg = ExperimentConfig(irs=DEFAULT_IRS_LAYOUTS[n_irs], **overrides)
-    if "ofdm" not in overrides:
-        taps = required_taps(cfg.bs, cfg.irs, cfg.target_radius_m, cfg.ofdm)
-        if taps > cfg.ofdm.n_taps:
-            cfg = replace(
-                cfg, ofdm=replace(cfg.ofdm, cp_len=taps, n_taps=taps)
-            )
-    return cfg
+    return cfg if "ofdm" in overrides else _widen_window(cfg)
 
 
 @dataclass(frozen=True)
@@ -411,7 +420,16 @@ def _second_stage(cfg: ExperimentConfig, scene: Scene, sets: RangeSets):
         rule = closest_irs_rule(scene, sets)
         return lambda t: t.irs in rule(t.direct1, t.direct2)
     w, gn = cfg.weights, cfg.gn
-    return lambda t: gauss_newton_solve(sets, t, scene, w, gn).residual < gn.residual_threshold
+
+    def fits(t):
+        triples = _constraints(sets, t, scene, w)
+        init = default_init(sets, t, scene)
+        return (
+            fit_stays_below(triples, gn, init)
+            or fit_position(triples, gn, init).residual < gn.residual_threshold
+        )
+
+    return fits
 
 
 def cardinality_experiment(cfg: ExperimentConfig, k_values) -> list[dict]:
@@ -589,12 +607,14 @@ def topology_experiment(cfg: ExperimentConfig, variants=None) -> list[dict]:
     """Localization accuracy under placements that pass or fail the checks.
 
     All variants run the same trial seeds, so rows are directly comparable.
+    A variant whose echoes reach past ``cfg``'s tap window runs with the
+    window widened as ``default_config`` widens it.
     """
     if variants is None:
         variants = topology_variants(cfg.bs)
     rows = []
     for name, irs in variants.items():
-        vcfg = replace(cfg, irs=tuple(irs))
+        vcfg = _widen_window(replace(cfg, irs=tuple(irs)))
         report = check_topology(vcfg.bs, vcfg.irs)
         outcomes = run_localization(vcfg)
         rows.append(

@@ -198,6 +198,20 @@ def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     )
 
 
+def fit_stays_below(triples, cfg: GnConfig, init) -> bool:
+    """True when ``fit_position(triples, cfg, init)`` must end below the threshold.
+
+    An accepted step raises the cost by at most 1e-15 plus the rounding of
+    that sum, below ``2**-52`` of the threshold while the cost is under it, and
+    a fit accepts at most ``max_iters`` steps.  A start cost that far below
+    ``cfg.residual_threshold`` therefore proves the fit's outcome without
+    running it.
+    """
+    r, _ = _residual_and_jacobian(init, triples)
+    threshold = cfg.residual_threshold
+    return float(r @ r) < threshold - cfg.max_iters * (1e-15 + 2.0**-52 * threshold)
+
+
 def default_init(sets: RangeSets, t: AssociationTuple, scene: Scene) -> Point2D:
     """Starting point from the two direct-range circles.
 

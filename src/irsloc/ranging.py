@@ -241,16 +241,23 @@ class RangeSets:
         would produce under perfect detection.  Duplicate quantized values
         are kept as separate entries so each list still has K entries.
         """
+        served = [
+            (t, g, distance(scene.irs[g], t)) for t, g in zip(scene.targets, scene.true_irs)
+        ]
         direct = []
         via = []
         for bs_pos, d_bi in zip(scene.bs, _layout_constants(scene.bs, scene.irs)[1]):
             echoes = [
-                echo_lengths(bs_pos, scene.irs[g], t, d_bi=d_bi[g])
-                for t, g in zip(scene.targets, scene.true_irs)
+                echo_lengths(bs_pos, scene.irs[g], t, d_it, d_bi[g]) for t, g, d_it in served
             ]
             direct.append(tuple(sorted(quantize_range(d, cell_m) for d, _ in echoes)))
             via.append(tuple(sorted(quantize_range(v, cell_m) for _, v in echoes)))
-        return cls(direct=(direct[0], direct[1]), via_irs=(via[0], via[1]))
+        # no __post_init__: the lists were just sorted
+        sets = object.__new__(cls)
+        sets.__dict__.update(
+            direct=(direct[0], direct[1]), via_irs=(via[0], via[1]), direct_bins=None, via_bins=None
+        )
+        return sets
 
 
 def build_range_sets(

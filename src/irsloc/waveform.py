@@ -275,23 +275,55 @@ def ofdm_demodulate(samples: np.ndarray, cp_len: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _twiddles(n_fft: int) -> np.ndarray:
+    """The N exact twiddles exp(-2j*pi*k/N), k = 0..N-1, read-only."""
+    twiddle = np.exp(-2j * math.pi * np.arange(n_fft) / n_fft)
+    twiddle.setflags(write=False)
+    return twiddle
+
+
+@lru_cache(maxsize=16)
 def steering_matrix(subcarriers: tuple[int, ...], n_fft: int, n_taps: int) -> np.ndarray:
     """Delay steering matrix: entry (n, l) = exp(-2j*pi*(c_n - 1)*l / N).
 
-    Entries are the N twiddles exp(-2j*pi*k/N), computed once and looked up
-    in row blocks at k = (c_n - 1)*l mod N.  Cached per comb since every trial
-    of an experiment shares it, so the comb must be a hashable tuple of
-    integers in 1..N.  The returned array is read-only.
+    Entries are looked up in row blocks of the twiddle table at
+    k = (c_n - 1)*l mod N.  Cached per comb since every trial of an
+    experiment shares it, so the comb must be a hashable tuple of integers in
+    1..N.  The returned array is read-only.  ``simulate_freq_rx`` builds only
+    ``bs1``'s matrix and reaches every shifted comb through a phase ramp; any
+    comb still gets its own matrix here.
     """
     comb = np.asarray(subcarriers)
     if comb.ndim != 1 or comb.dtype.kind not in "iu" or not np.all((comb >= 1) & (comb <= n_fft)):
         raise ValueError("subcarriers must be integers in 1..n_fft")
-    twiddle = np.exp(-2j * math.pi * np.arange(n_fft) / n_fft)
+    twiddle = _twiddles(n_fft)
     g = np.empty((comb.size, n_taps), dtype=complex)
     for i in range(0, comb.size, 64):
         twiddle.take(np.outer(comb[i:i + 64] - 1, np.arange(n_taps)) % n_fft, out=g[i:i + 64])
     g.setflags(write=False)
     return g
+
+
+@lru_cache(maxsize=16)
+def _shift_ramps(plan: SubcarrierPlan, n_fft: int, n_taps: int) -> tuple:
+    """Per BS, the phase ramp that maps ``bs1``'s steering matrix onto its comb.
+
+    When ``comb[n] = bs1[n] + s`` for every ``n``, the DFT shift theorem gives
+    ``G = G1 @ diag(W**(s*l))`` with ``W = exp(-2j*pi/N)``, so the ramp is the
+    twiddle table at ``(s*l) mod N``; ``bs1`` itself gets ``s = 0``, all ones.
+    A comb that is no constant shift of ``bs1`` gets None.
+    """
+    base = np.asarray(plan.bs1)
+    ramps = []
+    for comb in (plan.bs1, plan.bs2):
+        shift = np.asarray(comb) - base if len(comb) == len(base) else None
+        if shift is None or np.any(shift != shift[0]):
+            ramps.append(None)
+            continue
+        ramp = _twiddles(n_fft).take(int(shift[0]) * np.arange(n_taps) % n_fft)
+        ramp.setflags(write=False)
+        ramps.append(ramp)
+    return tuple(ramps)
 
 
 def make_pilots(plan: SubcarrierPlan, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -331,10 +363,15 @@ def simulate_freq_rx(
 
     Implements the exact post-DFT relation for integer-delay taps within the
     cyclic prefix; additive noise is circular complex Gaussian per subcarrier
-    with variance ``cfg.noise_var``.
+    with variance ``cfg.noise_var``.  Every comb that is a constant shift of
+    ``plan.bs1`` (both stock combs) is synthesized as ``G1 @ (ramp * h)``
+    from the one cached ``bs1`` steering matrix, about 10 MB per (N, L) at the
+    stock 2048 subcarriers and 640 taps; any other comb uses its own matrix.
     """
     rng = np.random.default_rng(seed)
     p = cfg.subcarrier_power_w
+    g1 = steering_matrix(plan.bs1, cfg.n_subcarriers, cfg.n_taps)
+    ramps = _shift_ramps(plan, cfg.n_subcarriers, cfg.n_taps)
     snaps = []
     for m in (0, 1):
         comb = plan.for_bs(m)
@@ -342,8 +379,11 @@ def simulate_freq_rx(
         if s.shape != (len(comb),):
             raise ValueError(f"pilot vector for BS {m + 1} does not match its comb")
         h = channel_vector(paths.for_bs(m), cfg.n_taps)
-        g = steering_matrix(comb, cfg.n_subcarriers, cfg.n_taps)
-        y = math.sqrt(p) * s * (g @ h)
+        if ramps[m] is None:
+            gh = steering_matrix(comb, cfg.n_subcarriers, cfg.n_taps) @ h
+        else:
+            gh = g1 @ (ramps[m] * h)
+        y = math.sqrt(p) * s * gh
         if cfg.noise_var > 0:
             scale = math.sqrt(cfg.noise_var / 2.0)
             y = y + scale * (

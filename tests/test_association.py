@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_closest_irs_candidates
 
+from irsloc import association
 from irsloc.association import (
     AssociationTuple,
     FeasibleSet,
@@ -28,7 +29,7 @@ from irsloc.association import (
 from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
 from irsloc.locate import GnConfig, ResidualWeights, gauss_newton_solve, select_association
 from irsloc.ranging import RangeSets
-from irsloc.scene import Point2D, Scene, distance, sample_targets
+from irsloc.scene import Point2D, Scene, _layout_constants, distance, sample_targets
 
 BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
 IRS1 = ((0.0, 40.0),)
@@ -209,6 +210,34 @@ class TestConsistency:
         gap = consistency_gap(sets, t, scene)
         assert consistency_check(sets, t, scene, tau=gap) is False
         assert consistency_check(sets, t, scene, tau=gap + 1e-9) is True
+
+
+class TestGapOrder:
+    def test_gaps_keep_their_float_order_at_tau(self):
+        # quantized ranges make a1 - a2 exact, so a gap lands on tau only in
+        # the documented order; a1 - (a2 + (d1 - d2)) moves some gaps by an ulp
+        moved = None
+        for seed in range(1, 30):
+            scene, sets = stock_scene_and_sets(4, 3, seed)
+            d_bi = _layout_constants(scene.bs, scene.irs)[1]
+            k, gaps = association._gap_grid(sets, scene, 1.5)
+            for cell in itertools.product(range(k), range(k), range(k), range(k), range(3)):
+                i1, i2, j1, j2, g = cell
+                a1 = sets.via_irs[0][j1] - 0.5 * sets.direct[0][i1]
+                a2 = sets.via_irs[1][j2] - 0.5 * sets.direct[1][i2]
+                offset = d_bi[0][g] - d_bi[1][g]
+                want = abs((a1 - a2) - offset)
+                assert gaps[cell] == want, (seed, cell)
+                other = abs(a1 - (a2 + offset))
+                if moved is None and other != want:
+                    moved = scene, sets, cell, want, other
+            if moved is not None:
+                break
+        assert moved is not None
+        scene, sets, cell, want, other = moved
+        tau = max(want, other)
+        kept = {t for t, _ in candidate_picks(sets, scene, tau)[cell[0]]}
+        assert (AssociationTuple(*cell) in kept) == (want < tau)
 
 
 class TestCircles:

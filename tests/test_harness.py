@@ -641,6 +641,45 @@ class TestTopology:
             assert 0.0 <= row["error_probability"] <= 1.0
 
 
+    @pytest.mark.parametrize(
+        "ofdm, phase1",
+        [
+            (None, True),
+            (OfdmConfig(cp_len=700, n_taps=512, tx_power_dbm=30.0), True),
+            (OfdmConfig(cp_len=900, n_taps=800), False),
+        ],
+        ids=("stock_waveform", "narrow_waveform", "wide_geometry"),
+    )
+    def test_each_variant_gets_a_window_that_fits(self, monkeypatch, ofdm, phase1):
+        seen = {}
+        run = harness.run_localization
+
+        def spy(vcfg, oracle=False):
+            outcomes = run(vcfg, oracle)
+            seen[vcfg.irs] = (vcfg.ofdm, [o.failure for o in outcomes])
+            return outcomes
+
+        monkeypatch.setattr(harness, "run_localization", spy)
+        overrides = {} if ofdm is None else {"ofdm": ofdm}
+        cfg = default_config(1, k=2, trials=2, seed=9, skip_phase1=not phase1, **overrides)
+        topology_experiment(cfg)
+        assert len(seen) == 4
+        for irs, (vofdm, failures) in seen.items():
+            assert "delay_window" not in failures
+            need = required_taps(cfg.bs, irs, cfg.target_radius_m, cfg.ofdm)
+            assert vofdm.n_taps == max(need, cfg.ofdm.n_taps)
+            assert vofdm.cp_len == max(cfg.ofdm.cp_len, vofdm.n_taps)
+            assert replace(vofdm, n_taps=cfg.ofdm.n_taps, cp_len=cfg.ofdm.cp_len) == cfg.ofdm
+
+    def test_geometry_rows_do_not_depend_on_the_window(self):
+        cfg = default_config(2, k=2, trials=8, seed=9)
+        rows = topology_experiment(cfg)
+        for row, irs in zip(rows, topology_variants(cfg.bs).values()):
+            outcomes = run_localization(replace(cfg, irs=tuple(irs)))
+            assert row["error_probability"] == error_probability(outcomes, cfg.error_radius_m)
+            assert row["association_accuracy"] == association_accuracy(outcomes)
+
+
 @dataclass(frozen=True)
 class BaselineTriple:
     """Index pick (rank-pinned anchor 1, anchors 2 and 3) for one target."""

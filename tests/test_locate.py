@@ -7,7 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsloc import locate
-from irsloc.association import FeasibleSet, enumerate_feasible, ground_truth_solution
+from irsloc.association import (
+    FeasibleSet,
+    candidate_picks,
+    enumerate_feasible,
+    ground_truth_solution,
+)
 from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
 from irsloc.locate import (
     GnConfig,
@@ -18,6 +23,7 @@ from irsloc.locate import (
     _residual_and_jacobian,
     default_init,
     fit_position,
+    fit_stays_below,
     gauss_newton_solve,
     lexmin_select,
     localize,
@@ -294,6 +300,32 @@ def scene_tuples(k, r, seed):
     scene, sets = quantized_scene_and_sets(k, r, seed)
     feas = enumerate_feasible(sets, scene, tau=1.5)
     return scene, sets, sorted({t for sol in feas.solutions for t in sol})
+
+
+class TestStartCertificate:
+    def test_certified_starts_fit_below_the_threshold(self):
+        certified = 0
+        for seed in range(1, 16):
+            scene = sample_targets(
+                DEFAULT_BS, DEFAULT_IRS_LAYOUTS[1], 4, 50.0, seed=seed, cell_m=0.75
+            )
+            sets = RangeSets.from_geometry(scene, cell_m=0.75)
+            w = ResidualWeights.from_cell(0.75)
+            for level in candidate_picks(sets, scene, 1.5):
+                for t, _ in level:
+                    triples = _constraints(sets, t, scene, w)
+                    init = default_init(sets, t, scene)
+                    if fit_stays_below(triples, GN, init):
+                        certified += 1
+                        assert fit_position(triples, GN, init).residual < GN.residual_threshold
+        assert certified > 0
+
+    def test_margin_covers_max_iters_accepted_raises(self):
+        # start cost 1; the margin is max_iters * (1e-15 + 2**-52 * threshold)
+        triples = [((0.0, 0.0), 1.0, 1.0)]
+        margin = 100 * (1e-15 + 2.0**-52)
+        assert not fit_stays_below(triples, GnConfig(residual_threshold=1.0 + 0.5 * margin), (0.0, 0.0))
+        assert fit_stays_below(triples, GnConfig(residual_threshold=1.0 + 2.0 * margin), (0.0, 0.0))
 
 
 class TestFitOracle:

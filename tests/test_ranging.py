@@ -17,7 +17,8 @@ from irsloc.ranging import (
     soft_threshold,
     weighted_lasso_solve,
 )
-from irsloc.scene import Point2D, Scene, distance
+from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
+from irsloc.scene import Point2D, Scene, SceneSamplingError, distance, sample_targets
 from irsloc.waveform import (
     BsSnapshot,
     OfdmConfig,
@@ -339,6 +340,27 @@ class TestRangeSets:
             # quantized values sit at cell centers
             for q in sets.direct[m] + sets.via_irs[m]:
                 assert (q / 0.75) % 1.0 == pytest.approx(0.5)
+
+
+class TestFromGeometry:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        cell_m=st.sampled_from((None, 0.75)),
+    )
+    def test_rebuilding_through_the_constructor_gives_equal_sets(self, r, k, seed, cell_m):
+        try:
+            scene = sample_targets(
+                DEFAULT_BS, DEFAULT_IRS_LAYOUTS[r], k, 50.0, seed=seed, cell_m=cell_m
+            )
+        except SceneSamplingError:
+            assume(False)
+        sets = RangeSets.from_geometry(scene, cell_m=cell_m)
+        rebuilt = RangeSets(direct=sets.direct, via_irs=sets.via_irs)
+        assert rebuilt == sets and repr(rebuilt) == repr(sets)
+        assert sets.balanced(k)
 
 
 class TestEndToEndRanging:

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from irsloc.harness import default_config
+from irsloc.harness import default_config, run_trial
 from irsloc.scene import Point2D, Scene, distance, sample_targets
 from irsloc.waveform import (
     DelayWindowError,
     LinkType,
     OfdmConfig,
+    PathList,
+    PathTap,
+    SubcarrierPlan,
     build_paths,
     channel_vector,
     dbm_to_watts,
@@ -294,6 +297,70 @@ class TestSteering:
     def test_comb_outside_one_to_n_or_not_integer_raises(self, comb):
         with pytest.raises(ValueError, match="integers in 1..n_fft"):
             steering_matrix(comb, 16, 8)
+
+
+def _perm_plan(n_bs1):
+    comb = tuple(int(c) for c in np.random.default_rng(5).permutation(np.arange(1, 65)))
+    return SubcarrierPlan(bs1=comb[:n_bs1], bs2=comb[n_bs1:])
+
+
+SYNTHESIS_PLANS = {
+    "stock": make_plan(2048),
+    "shift_minus_one": SubcarrierPlan(bs1=make_plan(64).bs2, bs2=make_plan(64).bs1),
+    "shift_two": SubcarrierPlan(
+        bs1=tuple(c for c in range(1, 65) if c % 4 in (1, 2)),
+        bs2=tuple(c for c in range(1, 65) if c % 4 in (0, 3)),
+    ),
+    "no_shift": _perm_plan(32),
+    "unequal_combs": _perm_plan(20),
+}
+
+
+class TestSharedSteering:
+    @pytest.mark.parametrize("name", SYNTHESIS_PLANS)
+    def test_each_comb_matches_its_own_steering_matrix(self, name):
+        plan = SYNTHESIS_PLANS[name]
+        n = len(plan.bs1) + len(plan.bs2)
+        taps = 640 if n == 2048 else n // 2
+        cfg = OfdmConfig(n_subcarriers=n, cp_len=taps, n_taps=taps, noise_psd_dbm_hz=None)
+        rng = np.random.default_rng(17)
+        path_lists = []
+        for n_active in (1, 6, taps):  # random taps, up to a full window
+            per_bs = []
+            for m in (0, 1):
+                support = rng.choice(taps, size=n_active, replace=False)
+                gains = rng.standard_normal(n_active) + 1j * rng.standard_normal(n_active)
+                per_bs.append(
+                    tuple(
+                        PathTap(int(l), complex(a), LinkType.TARGET_ECHO, m)
+                        for l, a in zip(support, gains)
+                    )
+                )
+            path_lists.append(PathList(symbol=1, taps=(per_bs[0], per_bs[1])))
+        if name == "stock":  # the stock three-surface scene's echoes
+            stock = default_config(3)
+            scene = sample_targets(
+                stock.bs, stock.irs, 4, stock.target_radius_m, 3, cell_m=stock.ofdm.cell_m
+            )
+            path_lists += [build_paths(scene, cfg, symbol, phase_seed=5) for symbol in (1, 2)]
+        for paths in path_lists:
+            pilots = make_pilots(plan, int(rng.integers(1 << 31)))
+            snap = simulate_freq_rx(paths, pilots, cfg, plan)
+            for m in (0, 1):
+                comb = plan.for_bs(m)
+                h = channel_vector(paths.for_bs(m), taps)
+                want = math.sqrt(cfg.subcarrier_power_w) * pilots[m] * (
+                    steering_matrix(comb, n, taps) @ h
+                )
+                got = snap.by_bs[m].rx
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (name, m)
+
+    def test_one_waveform_trial_caches_one_matrix(self):
+        cfg = default_config(3, k=4, trials=1, seed=1, skip_phase1=False)
+        steering_matrix.cache_clear()
+        outcome = run_trial(cfg, 0, np.random.SeedSequence(1).spawn(1)[0])
+        assert outcome.failure is None
+        assert steering_matrix.cache_info().currsize == 1
 
 
 class TestPilots:
