@@ -134,10 +134,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         kwargs = dict(d)
-        if d.get("ofdm"):
-            kwargs["ofdm"] = OfdmConfig(**d["ofdm"])
-        if d.get("gn"):
-            kwargs["gn"] = GnConfig(**d["gn"])
+        for key, block in (("ofdm", OfdmConfig), ("gn", GnConfig)):
+            if key in d:
+                if not isinstance(d[key], dict):
+                    raise ValueError(f"{key} must be an object of settings, got {d[key]!r}")
+                kwargs[key] = block(**d[key])
         if d.get("ranging"):
             # iteration limits of the retired iterative solver are ignored
             ranging = {

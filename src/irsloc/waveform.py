@@ -1,9 +1,10 @@
 """OFDM echo synthesis for the two-BS sensing downlink.
 
-Both BSs transmit pilot symbols on disjoint interleaved subcarrier combs, so
-each BS hears only its own monostatic echoes after demodulation.  Echo paths
-are modeled as integer-delay taps on a length-``L`` grid; the cyclic prefix
-absorbs the full delay spread, which makes the frequency-domain model
+Both BSs transmit pilot symbols on disjoint interleaved subcarrier combs, the
+only layout modeled: BS 1 on the odd 1-based subcarriers, BS 2 on the even
+ones.  Each BS hears only its own monostatic echoes after demodulation.  Echo
+paths are modeled as integer-delay taps on a length-``L`` grid; the cyclic
+prefix absorbs the full delay spread, which makes the frequency-domain model
 
     y[n] = sqrt(p) * s[n] * sum_l h[l] * exp(-2j*pi*(c_n - 1)*l / N) + z[n]
 
@@ -113,16 +114,16 @@ class OfdmConfig:
 
 @dataclass(frozen=True)
 class SubcarrierPlan:
-    """Disjoint subcarrier combs, 1-based indices covering 1..N."""
+    """The interleaved combs over 1..N for even N: odd 1-based subcarriers on
+    BS 1, even ones on BS 2.  Any other layout is a ``ValueError``."""
 
     bs1: tuple[int, ...]
     bs2: tuple[int, ...]
 
     def __post_init__(self):
-        union = set(self.bs1) | set(self.bs2)
-        n = len(self.bs1) + len(self.bs2)
-        if len(union) != n or union != set(range(1, n + 1)):
-            raise ValueError("combs must partition 1..N")
+        n = 2 * len(self.bs1)
+        if n < 2 or self.bs1 != tuple(range(1, n, 2)) or self.bs2 != tuple(range(2, n + 1, 2)):
+            raise ValueError("combs must be the odd and even subcarriers of an even N >= 2")
 
     def for_bs(self, m: int) -> tuple[int, ...]:
         return (self.bs1, self.bs2)[m]
@@ -131,8 +132,6 @@ class SubcarrierPlan:
 @cache
 def make_plan(n_subcarriers: int) -> SubcarrierPlan:
     """Assign odd 1-based subcarriers to BS 1 and even ones to BS 2."""
-    if n_subcarriers < 2 or n_subcarriers % 2 != 0:
-        raise ValueError("n_subcarriers must be even and >= 2")
     return SubcarrierPlan(
         bs1=tuple(range(1, n_subcarriers + 1, 2)),
         bs2=tuple(range(2, n_subcarriers + 1, 2)),
@@ -282,48 +281,23 @@ def _twiddles(n_fft: int) -> np.ndarray:
     return twiddle
 
 
-@lru_cache(maxsize=16)
-def steering_matrix(subcarriers: tuple[int, ...], n_fft: int, n_taps: int) -> np.ndarray:
-    """Delay steering matrix: entry (n, l) = exp(-2j*pi*(c_n - 1)*l / N).
+@lru_cache(maxsize=1)
+def steering_matrix(n_fft: int, n_taps: int) -> np.ndarray:
+    """BS 1's delay steering matrix: entry (n, l) = exp(-2j*pi*(c_n - 1)*l / N).
 
-    Entries are looked up in row blocks of the twiddle table at
-    k = (c_n - 1)*l mod N.  Cached per comb since every trial of an
-    experiment shares it, so the comb must be a hashable tuple of integers in
-    1..N.  The returned array is read-only.  ``simulate_freq_rx`` builds only
-    ``bs1``'s matrix and reaches every shifted comb through a phase ramp; any
-    comb still gets its own matrix here.
+    BS 1's comb is the odd subcarriers, so ``c_n - 1 = 2n`` and entries are
+    looked up in row blocks of the twiddle table at k = 2n*l mod N.  BS 2's
+    comb is shifted by one bin, so ``simulate_freq_rx`` reaches it through a
+    phase ramp instead of a second matrix.  Only the latest (N, L) is cached:
+    every trial of an experiment shares it.  The returned array is read-only.
     """
-    comb = np.asarray(subcarriers)
-    if comb.ndim != 1 or comb.dtype.kind not in "iu" or not np.all((comb >= 1) & (comb <= n_fft)):
-        raise ValueError("subcarriers must be integers in 1..n_fft")
     twiddle = _twiddles(n_fft)
-    g = np.empty((comb.size, n_taps), dtype=complex)
-    for i in range(0, comb.size, 64):
-        twiddle.take(np.outer(comb[i:i + 64] - 1, np.arange(n_taps)) % n_fft, out=g[i:i + 64])
+    rows = np.arange(0, n_fft, 2)
+    g = np.empty((rows.size, n_taps), dtype=complex)
+    for i in range(0, rows.size, 64):
+        twiddle.take(np.outer(rows[i:i + 64], np.arange(n_taps)) % n_fft, out=g[i:i + 64])
     g.setflags(write=False)
     return g
-
-
-@lru_cache(maxsize=16)
-def _shift_ramps(plan: SubcarrierPlan, n_fft: int, n_taps: int) -> tuple:
-    """Per BS, the phase ramp that maps ``bs1``'s steering matrix onto its comb.
-
-    When ``comb[n] = bs1[n] + s`` for every ``n``, the DFT shift theorem gives
-    ``G = G1 @ diag(W**(s*l))`` with ``W = exp(-2j*pi/N)``, so the ramp is the
-    twiddle table at ``(s*l) mod N``; ``bs1`` itself gets ``s = 0``, all ones.
-    A comb that is no constant shift of ``bs1`` gets None.
-    """
-    base = np.asarray(plan.bs1)
-    ramps = []
-    for comb in (plan.bs1, plan.bs2):
-        shift = np.asarray(comb) - base if len(comb) == len(base) else None
-        if shift is None or np.any(shift != shift[0]):
-            ramps.append(None)
-            continue
-        ramp = _twiddles(n_fft).take(int(shift[0]) * np.arange(n_taps) % n_fft)
-        ramp.setflags(write=False)
-        ramps.append(ramp)
-    return tuple(ramps)
 
 
 def make_pilots(plan: SubcarrierPlan, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -363,27 +337,24 @@ def simulate_freq_rx(
 
     Implements the exact post-DFT relation for integer-delay taps within the
     cyclic prefix; additive noise is circular complex Gaussian per subcarrier
-    with variance ``cfg.noise_var``.  Every comb that is a constant shift of
-    ``plan.bs1`` (both stock combs) is synthesized as ``G1 @ (ramp * h)``
-    from the one cached ``bs1`` steering matrix, about 10 MB per (N, L) at the
-    stock 2048 subcarriers and 640 taps; any other comb uses its own matrix.
+    with variance ``cfg.noise_var``.  BS 1's vector is ``G1 @ h`` with the
+    cached steering matrix, about 10 MB at the stock 2048 subcarriers and 640
+    taps.  BS 2's comb is BS 1's shifted by one bin, so by the DFT shift
+    theorem its vector is ``G1 @ (ramp * h)`` with ``ramp[l] = W**l`` and
+    ``W = exp(-2j*pi/N)``: the first L twiddles, since L <= N/2.
     """
     rng = np.random.default_rng(seed)
     p = cfg.subcarrier_power_w
-    g1 = steering_matrix(plan.bs1, cfg.n_subcarriers, cfg.n_taps)
-    ramps = _shift_ramps(plan, cfg.n_subcarriers, cfg.n_taps)
+    g1 = steering_matrix(cfg.n_subcarriers, cfg.n_taps)
+    ramp = _twiddles(cfg.n_subcarriers)[:cfg.n_taps]
     snaps = []
     for m in (0, 1):
         comb = plan.for_bs(m)
         s = np.asarray(pilots[m], dtype=complex)
-        if s.shape != (len(comb),):
-            raise ValueError(f"pilot vector for BS {m + 1} does not match its comb")
+        if s.shape != (len(comb),) or len(comb) != g1.shape[0]:
+            raise ValueError(f"pilots or comb for BS {m + 1} do not match N/2 subcarriers")
         h = channel_vector(paths.for_bs(m), cfg.n_taps)
-        if ramps[m] is None:
-            gh = steering_matrix(comb, cfg.n_subcarriers, cfg.n_taps) @ h
-        else:
-            gh = g1 @ (ramps[m] * h)
-        y = math.sqrt(p) * s * gh
+        y = math.sqrt(p) * s * (g1 @ (ramp * h if m else h))
         if cfg.noise_var > 0:
             scale = math.sqrt(cfg.noise_var / 2.0)
             y = y + scale * (

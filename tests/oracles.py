@@ -103,3 +103,11 @@ def reference_closest_irs_candidates(scene: Scene, sets, direct1: int, direct2: 
         best = min(dists)
         candidates.update(r for r, d in enumerate(dists) if d <= best + 1e-9)
     return frozenset(candidates)
+
+
+def reference_steering_matrix(subcarriers, n_fft: int, n_taps: int) -> np.ndarray:
+    """The delay steering matrix of any comb of 1-based subcarriers, entry
+    (n, l) = exp(-2j*pi*(c_n - 1)*l / N), with the integer phase reduced mod
+    N as ``waveform.steering_matrix``'s twiddle lookup reduces it."""
+    k = np.outer(np.asarray(subcarriers) - 1, np.arange(n_taps)) % n_fft
+    return np.exp(-2j * np.pi * k / n_fft)

@@ -140,6 +140,17 @@ class TestConfig:
             ExperimentConfig.load(path).save(tmp_path / path.name)
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("key", ["ofdm", "gn"])
+    @pytest.mark.parametrize("block", [{}, None, [], "x"], ids=repr)
+    def test_from_dict_settings_blocks(self, key, block):
+        d = default_config(1, ofdm=OfdmConfig()).to_dict()
+        d[key] = block
+        if block == {}:
+            assert ExperimentConfig.from_dict(d) == default_config(1, ofdm=OfdmConfig())
+        else:
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                ExperimentConfig.from_dict(d)
+
     def test_from_dict_ignores_retired_solver_limits(self):
         rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
         d = default_config(1, ranging=rcfg).to_dict()
