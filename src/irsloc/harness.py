@@ -111,8 +111,15 @@ class ExperimentConfig:
         bs, irs = check_layout(self.bs, self.irs)
         object.__setattr__(self, "bs", bs)
         object.__setattr__(self, "irs", irs)
+        for name in ("k", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.k < 1 or self.trials < 1:
             raise ValueError("k and trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.tau_m < 0 or self.error_radius_m <= 0 or self.target_radius_m <= 0:
             raise ValueError("bad experiment radii")
 

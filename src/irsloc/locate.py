@@ -245,12 +245,10 @@ def gauss_newton_solve(
     scene: Scene,
     w: ResidualWeights,
     cfg: GnConfig,
-    init=None,
 ) -> LocEstimate:
-    """Fit one tuple's position; ``init=None`` uses ``default_init``."""
+    """Fit one tuple's position from ``default_init``."""
     triples = _constraints(sets, t, scene, w)
-    start = default_init(sets, t, scene) if init is None else init
-    return fit_position(triples, cfg, start)
+    return fit_position(triples, cfg, default_init(sets, t, scene))
 
 
 @dataclass(frozen=True)

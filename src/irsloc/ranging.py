@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import Scene, _layout_constants, delay_cell, distance, echo_lengths
-from .waveform import BsSnapshot, OfdmConfig
+from .waveform import BsSnapshot, LinkType, OfdmConfig, echo_gain
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,15 @@ class RangingConfig:
         sigma_tap = math.sqrt(cfg.noise_var / (p * n_sc))
 
         weakest = math.inf
-        for bs_pos in scene.bs:
-            for q in scene.irs:
-                d_bi = distance(bs_pos, q)
+        for row in _layout_constants(scene.bs, scene.irs)[1]:
+            for d_bi in row:
                 d_bt_max = d_bi + coverage_radius
-                g3 = math.sqrt(cfg.bs_reflect_gain) / d_bt_max**2
-                g4 = math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain) / (
-                    d_bt_max * coverage_radius * d_bi
+                weakest = min(
+                    weakest,
+                    echo_gain(cfg, LinkType.IRS_ECHO, d_bi, d_bi),
+                    echo_gain(cfg, LinkType.TARGET_ECHO, d_bt_max, d_bt_max),
+                    echo_gain(cfg, LinkType.TARGET_VIA_IRS, d_bt_max, coverage_radius, d_bi),
                 )
-                g2 = math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain) / d_bi**2
-                weakest = min(weakest, g2, g3, g4)
         cap = 0.5 * weakest
         delta = cap if sigma_tap == 0 or 6.0 * sigma_tap > cap else 6.0 * sigma_tap
 
@@ -191,12 +190,8 @@ def quantize_range(value: float, cell_m: float | None) -> float:
 
 def irs_echo_bins(scene: Scene, cfg: OfdmConfig) -> tuple[frozenset[int], frozenset[int]]:
     """Known delay bins (``delay_cell``) of the static BS-IRS-BS reflections, per BS."""
-    out = []
-    for bs_pos in scene.bs:
-        out.append(
-            frozenset(delay_cell(2.0 * distance(bs_pos, q), cfg.cell_m) for q in scene.irs)
-        )
-    return out[0], out[1]
+    d_bi = _layout_constants(scene.bs, scene.irs)[1]
+    return tuple(frozenset(delay_cell(2.0 * d, cfg.cell_m) for d in row) for row in d_bi)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ anchors, and ``K >= 1`` passive targets to be localized.  Each target sits in
 the coverage region of exactly one IRS, the one nearest to it, and that
 assignment is recorded as ground truth for scoring.
 
-The echo model lives here too, once for every stage.  A BS hears two echoes
-per target: the BS-target-BS round trip and the BS-target-IRS-BS compound
-path via the target's serving IRS (``echo_lengths``).  A path of total length
-``x`` lands in delay cell ``floor(x / cell)`` (``delay_cell``); the sampler,
-the tap synthesis, the range quantizer and the known anchor-reflection bins
-all read the cell from there, which is what keeps the sampler's promise that
-no two echoes a BS hears share a cell.
+The echo geometry lives here too, once for every stage.  A BS hears two
+echoes per target: the BS-target-BS round trip and the BS-target-IRS-BS
+compound path via the target's serving IRS (``echo_lengths``), and one static
+BS-IRS-BS reflection per IRS (distances in ``_layout_constants``).  A path of
+total length ``x`` lands in delay cell ``floor(x / cell)`` (``delay_cell``).
+The sampler, the tap synthesis, threshold calibration, the range quantizer
+and the known anchor-reflection bins all read these, which is what keeps the
+sampler's promise that no two echoes a BS hears share a cell; the synthesis
+and the calibration take the echo amplitudes from ``waveform.echo_gain``.
 
 The anchor layout has one rule, ``check_layout``: two BSs at distinct points
 and at least one IRS, no two IRSs at one point and none on a BS.  Every place

@@ -29,7 +29,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .scene import Scene, delay_cell, distance
+from .scene import Scene, _layout_constants, delay_cell, distance, echo_lengths
 
 
 class LinkType(str, Enum):
@@ -52,10 +52,9 @@ class OfdmConfig:
 
     ``n_taps`` is the modeled delay-spread window ``L``; the cyclic prefix
     must cover it (``cp_len >= n_taps - 1``) and the interleaved combs limit
-    it to ``n_subcarriers / 2`` taps before delay aliasing.  Reflection gains
-    are dimensionless amplitude constants: a bounce off a target contributes
-    ``sqrt(bs_reflect_gain)``, a bounce off an IRS ``sqrt(irs_reflect_gain)``,
-    and every traversed leg divides by its length.
+    it to ``n_subcarriers / 2`` taps before delay aliasing.  The reflection
+    gains are dimensionless power constants of one bounce off a target and
+    off an IRS; ``echo_gain`` is the one link budget that reads them.
     """
 
     n_subcarriers: int = 2048
@@ -112,6 +111,18 @@ class OfdmConfig:
         return dbm_to_watts(self.noise_psd_dbm_hz) * self.subcarrier_spacing_hz
 
 
+def echo_gain(cfg: OfdmConfig, link: LinkType, *legs: float) -> float:
+    """Amplitude of an echo of kind ``link`` over legs of the given lengths.
+
+    A bounce off a target contributes ``sqrt(bs_reflect_gain)``, a bounce off
+    an IRS ``sqrt(irs_reflect_gain)``, and every traversed leg divides by its
+    length.  Synthesis and threshold calibration both read this rule.
+    """
+    target = cfg.bs_reflect_gain if link is not LinkType.IRS_ECHO else 1.0
+    irs = cfg.irs_reflect_gain if link is not LinkType.TARGET_ECHO else 1.0
+    return math.sqrt(target * irs) / math.prod(legs)
+
+
 @dataclass(frozen=True)
 class SubcarrierPlan:
     """The interleaved combs over 1..N for even N: odd 1-based subcarriers on
@@ -159,11 +170,6 @@ class PathList:
         return self.taps[m]
 
 
-def path_delay(length_m: float, cfg: OfdmConfig) -> int:
-    """Tap index of a path of the given total length: its ``delay_cell``."""
-    return delay_cell(length_m, cfg.cell_m)
-
-
 def _path_phase(phase_seed: int, *key: int) -> float:
     """Stable uniform phase for one propagation path.
 
@@ -184,60 +190,36 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
     if symbol < 1:
         raise ValueError("symbol index is 1-based")
     per_bs: list[tuple[PathTap, ...]] = []
-    for m, bs_pos in enumerate(scene.bs):
+    for m, (bs_pos, d_bi) in enumerate(zip(scene.bs, _layout_constants(scene.bs, scene.irs)[1])):
         taps: list[PathTap] = []
 
-        def add(length_m, amp, link, key):
-            l = path_delay(length_m, cfg)
+        def add(length_m, link, key, *legs):
+            l = delay_cell(length_m, cfg.cell_m)
             if l >= cfg.n_taps:
                 raise DelayWindowError(
                     f"{link.value} path of {length_m:.2f} m needs tap {l}, "
                     f"window is {cfg.n_taps}"
                 )
             phase = _path_phase(phase_seed, m, *key)
-            taps.append(
-                PathTap(
-                    delay=l,
-                    gain=amp * complex(math.cos(phase), math.sin(phase)),
-                    link=link,
-                    bs=m,
-                )
-            )
+            gain = echo_gain(cfg, link, *legs) * complex(math.cos(phase), math.sin(phase))
+            taps.append(PathTap(delay=l, gain=gain, link=link, bs=m))
 
-        for k, t in enumerate(scene.targets):
-            d_bt = distance(bs_pos, t)
+        compound = []
+        for k, (t, r) in enumerate(zip(scene.targets, scene.true_irs)):
+            d_it = distance(scene.irs[r], t)
+            direct, via = echo_lengths(bs_pos, scene.irs[r], t, d_it, d_bi[r])
+            d_bt = 0.5 * direct
             if d_bt <= 0:
                 raise ValueError(f"target {k} coincides with BS {m}")
-            add(
-                2.0 * d_bt,
-                math.sqrt(cfg.bs_reflect_gain) / d_bt**2,
-                LinkType.TARGET_ECHO,
-                key=(1, k),
-            )
+            add(direct, LinkType.TARGET_ECHO, (1, k), d_bt, d_bt)
+            compound.append((k, r, via, d_bt, d_it))
         if symbol >= 2:
-            for r, q in enumerate(scene.irs):
-                d_bi = distance(bs_pos, q)
-                add(
-                    2.0 * d_bi,
-                    math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain) / d_bi**2,
-                    LinkType.IRS_ECHO,
-                    key=(2, r),
-                )
-            for k, t in enumerate(scene.targets):
-                r = scene.true_irs[k]
-                q = scene.irs[r]
-                d_bt = distance(bs_pos, t)
-                d_it = distance(q, t)
-                d_bi = distance(bs_pos, q)
+            for r, d in enumerate(d_bi):
+                add(2.0 * d, LinkType.IRS_ECHO, (2, r), d, d)
+            for k, r, via, d_bt, d_it in compound:
                 if d_it <= 0:
                     raise ValueError(f"target {k} coincides with IRS {r}")
-                add(
-                    d_bt + d_it + d_bi,
-                    math.sqrt(cfg.bs_reflect_gain * cfg.irs_reflect_gain)
-                    / (d_bt * d_it * d_bi),
-                    LinkType.TARGET_VIA_IRS,
-                    key=(3, k),
-                )
+                add(via, LinkType.TARGET_VIA_IRS, (3, k), d_bt, d_it, d_bi[r])
         per_bs.append(tuple(taps))
     return PathList(symbol=symbol, taps=(per_bs[0], per_bs[1]))
 

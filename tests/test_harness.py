@@ -151,6 +151,32 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{key} must"):
                 ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k", 4.0),
+            ("k", True),
+            ("trials", 2.0),
+            ("trials", "2"),
+            ("seed", 1.5),
+            ("seed", None),
+            ("seed", -1),
+        ],
+        ids=repr,
+    )
+    def test_from_dict_rejects_bad_counts(self, key, value):
+        d = default_config(1).to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ExperimentConfig.from_dict(d)
+
+    def test_from_dict_takes_numpy_integer_counts(self):
+        d = default_config(1).to_dict()
+        d.update(k=np.int64(3), trials=np.int32(2), seed=np.uint64(0))
+        cfg = ExperimentConfig.from_dict(d)
+        counts = [(type(v), v) for v in (cfg.k, cfg.trials, cfg.seed)]
+        assert counts == [(int, 3), (int, 2), (int, 0)]
+
     def test_from_dict_ignores_retired_solver_limits(self):
         rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
         d = default_config(1, ranging=rcfg).to_dict()

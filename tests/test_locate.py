@@ -276,7 +276,7 @@ class TestFit:
     def test_fit_handles_far_init(self):
         scene, sets = scene_and_sets(IRS1, 1, seed=7)
         t = ground_truth_solution(scene, sets)[0]
-        est = gauss_newton_solve(sets, t, scene, W, GN, init=Point2D(0.0, -200.0))
+        est = fit_position(_constraints(sets, t, scene, W), GN, Point2D(0.0, -200.0))
         # may land on the mirror optimum, but must converge somewhere finite
         assert est.converged
         assert math.isfinite(est.residual)

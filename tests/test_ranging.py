@@ -81,6 +81,26 @@ class TestRangingConfig:
         assert rcfg.delta1 <= 0.5 * weakest + 1e-18
         assert rcfg.rho1 < rcfg.rho2
 
+    @pytest.mark.parametrize("noise_psd", [-174.0, -150.0], ids=["six_sigma", "clamped"])
+    def test_calibrated_threshold_at_non_default_gains(self, noise_psd):
+        cfg = OfdmConfig(bs_reflect_gain=4.0, irs_reflect_gain=0.09, noise_psd_dbm_hz=noise_psd)
+        radius = 50.0
+        scene = sample_targets(DEFAULT_BS, DEFAULT_IRS_LAYOUTS[3], 3, radius, seed=2)
+        sigma_tap = math.sqrt(cfg.noise_var / (cfg.subcarrier_power_w * cfg.n_subcarriers / 2))
+        # weakest echo over the worst covered geometry: sqrt(4.0) per target
+        # bounce, sqrt(0.09) per IRS bounce, one over every leg
+        weakest = math.inf
+        for b in scene.bs:
+            for q in scene.irs:
+                d_bi = distance(b, q)
+                far = d_bi + radius
+                weakest = min(
+                    weakest, 0.3 / d_bi**2, 2.0 / far**2, 2.0 * 0.3 / (far * radius * d_bi)
+                )
+        rcfg = RangingConfig.calibrated(cfg, scene, coverage_radius=radius)
+        assert rcfg.delta1 == pytest.approx(min(6.0 * sigma_tap, 0.5 * weakest), rel=1e-12)
+        assert rcfg.delta2 == rcfg.delta1
+
     def test_calibrated_noiseless_uses_amplitude_floor(self):
         cfg = OfdmConfig(noise_psd_dbm_hz=None)
         rcfg = RangingConfig.calibrated(cfg, default_scene(), coverage_radius=50.0)

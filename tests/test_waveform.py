@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import reference_steering_matrix
 
 from irsloc.harness import default_config, run_trial, topology_experiment
-from irsloc.scene import Point2D, Scene, distance, sample_targets
+from irsloc.scene import Point2D, Scene, delay_cell, distance, sample_targets
 from irsloc.waveform import (
     DelayWindowError,
     LinkType,
@@ -21,7 +22,6 @@ from irsloc.waveform import (
     make_plan,
     ofdm_demodulate,
     ofdm_modulate,
-    path_delay,
     simulate_freq_rx,
     steering_matrix,
 )
@@ -119,10 +119,10 @@ class TestPaths:
         # 11.4375 m at 400 MHz: 11.4375 / 0.75 = 15.25 -> floor 15 for one way,
         # 30 for the round trip
         cfg = OfdmConfig()
-        assert path_delay(2 * 11.4375, cfg) == 30
-        assert path_delay(0.0, cfg) == 0
-        assert path_delay(0.7499, cfg) == 0
-        assert path_delay(0.75, cfg) == 1
+        assert delay_cell(2 * 11.4375, cfg.cell_m) == 30
+        assert delay_cell(0.0, cfg.cell_m) == 0
+        assert delay_cell(0.7499, cfg.cell_m) == 0
+        assert delay_cell(0.75, cfg.cell_m) == 1
 
     def test_first_symbol_has_no_irs_paths(self):
         scene = one_target_scene()
@@ -146,10 +146,10 @@ class TestPaths:
         for m, b in enumerate(scene.bs):
             by_kind = {tap.link: tap for tap in paths.for_bs(m)}
             d_bt, d_it, d_bi = distance(b, t), distance(q, t), distance(b, q)
-            assert by_kind[LinkType.TARGET_ECHO].delay == path_delay(2 * d_bt, cfg)
-            assert by_kind[LinkType.IRS_ECHO].delay == path_delay(2 * d_bi, cfg)
-            assert by_kind[LinkType.TARGET_VIA_IRS].delay == path_delay(
-                d_bt + d_it + d_bi, cfg
+            assert by_kind[LinkType.TARGET_ECHO].delay == delay_cell(2 * d_bt, cfg.cell_m)
+            assert by_kind[LinkType.IRS_ECHO].delay == delay_cell(2 * d_bi, cfg.cell_m)
+            assert by_kind[LinkType.TARGET_VIA_IRS].delay == delay_cell(
+                d_bt + d_it + d_bi, cfg.cell_m
             )
 
     @pytest.mark.parametrize("n_irs", [1, 2, 3])
@@ -183,6 +183,33 @@ class TestPaths:
         assert abs(by_kind[LinkType.TARGET_VIA_IRS].gain) == pytest.approx(
             math.sqrt(cfg.irs_reflect_gain) / (d_bt * d_it * d_bi)
         )
+
+    def test_link_budget_at_non_default_gains(self):
+        # sqrt(4.0) per target bounce, sqrt(0.09) per IRS bounce, one over
+        # every leg; the static BS-IRS-BS echo has no target bounce
+        stock = default_config(2, k=3)
+        cfg = replace(stock.ofdm, bs_reflect_gain=4.0, irs_reflect_gain=0.09)
+        scene = sample_targets(stock.bs, stock.irs, 3, 50.0, 5, cell_m=cfg.cell_m)
+        paths = build_paths(scene, cfg, symbol=2)
+        for m, b in enumerate(scene.bs):
+            want = {}
+            for q in scene.irs:
+                d_bi = distance(b, q)
+                want[delay_cell(2 * d_bi, cfg.cell_m)] = (LinkType.IRS_ECHO, 0.3 / d_bi**2)
+            for t, r in zip(scene.targets, scene.true_irs):
+                q = scene.irs[r]
+                d_bt, d_it, d_bi = distance(b, t), distance(q, t), distance(b, q)
+                want[delay_cell(2 * d_bt, cfg.cell_m)] = (LinkType.TARGET_ECHO, 2.0 / d_bt**2)
+                want[delay_cell(d_bt + d_it + d_bi, cfg.cell_m)] = (
+                    LinkType.TARGET_VIA_IRS,
+                    2.0 * 0.3 / (d_bt * d_it * d_bi),
+                )
+            taps = paths.for_bs(m)
+            assert len(taps) == len(want) == 2 * 3 + 2
+            for tap in taps:
+                link, amp = want[tap.delay]
+                assert tap.link is link
+                assert abs(tap.gain) == pytest.approx(amp, rel=1e-12)
 
     def test_phases_stable_across_symbols(self):
         scene = one_target_scene()
