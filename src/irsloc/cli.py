@@ -27,7 +27,10 @@ from .harness import (
 
 def _load_config(args, n_irs: int = 1) -> ExperimentConfig:
     if getattr(args, "config", None):
-        cfg = ExperimentConfig.load(args.config)
+        try:
+            cfg = ExperimentConfig.load(args.config)
+        except ValueError as err:
+            args.error(f"--config {args.config}: {err}")
     else:
         cfg = default_config(n_irs=n_irs)
     if getattr(args, "trials", None) is not None:
@@ -66,6 +69,7 @@ def _add_common(p, with_k=True):
     if with_k:
         p.add_argument("--k", type=_positive_int, help="number of targets")
     p.add_argument("--out", default="out", help="output directory")
+    p.set_defaults(error=p.error)
 
 
 def cmd_cardinality(args) -> int:
@@ -168,7 +172,7 @@ def main(argv=None) -> int:
         default="2,3,4,5,6,7", help="comma-separated K list",
     )
     p.add_argument("--n-irs", type=int, choices=(1, 2, 3), help="stock layout (default 1)")
-    p.set_defaults(func=cmd_cardinality, error=p.error)
+    p.set_defaults(func=cmd_cardinality)
 
     p = sub.add_parser("localize", help="end-to-end localization error probability")
     _add_common(p)

@@ -18,8 +18,9 @@ seed, so runs are reproducible and different trial counts share prefixes.
 import csv
 import json
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .waveform import (
     build_paths,
     make_pilots,
     make_plan,
-    simulate_freq_rx,
+    tap_domain_rx,
 )
 from .ranging import (
     RangeSets,
@@ -50,9 +51,9 @@ from .ranging import (
     build_range_sets,
     detect_support,
     irs_echo_bins,
-    lasso_solve,
+    penalties,
     quantize_range,
-    weighted_lasso_solve,
+    shrink,
 )
 from .association import (
     AssociationTuple,
@@ -75,6 +76,7 @@ from .locate import (
     _constraints,
     _select,
     default_init,
+    fit_must_exceed,
     fit_position,
     fit_stays_below,
     gauss_newton_solve,
@@ -120,8 +122,16 @@ class ExperimentConfig:
             raise ValueError("k and trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for name in ("target_radius_m", "tau_m", "error_radius_m"):
+            value = getattr(self, name)
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.tau_m < 0 or self.error_radius_m <= 0 or self.target_radius_m <= 0:
             raise ValueError("bad experiment radii")
+        if not isinstance(self.skip_phase1, bool):
+            raise ValueError(f"skip_phase1 must be true or false, got {self.skip_phase1!r}")
 
     @property
     def weights(self) -> ResidualWeights:
@@ -140,22 +150,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; ``ValueError`` names any key
+        that is not a field.  A ``ranging`` block that is null or ``{}``
+        means calibrated thresholds."""
+        _check_keys("config", d, cls)
         kwargs = dict(d)
         for key, block in (("ofdm", OfdmConfig), ("gn", GnConfig)):
             if key in d:
                 if not isinstance(d[key], dict):
                     raise ValueError(f"{key} must be an object of settings, got {d[key]!r}")
+                _check_keys(key, d[key], block)
                 kwargs[key] = block(**d[key])
-        if d.get("ranging"):
+        ranging = kwargs.pop("ranging", None)
+        if ranging:
+            if not isinstance(ranging, dict):
+                raise ValueError(f"ranging must be an object of settings, got {ranging!r}")
             # iteration limits of the retired iterative solver are ignored
-            ranging = {
-                key: v
-                for key, v in d["ranging"].items()
-                if key not in ("max_iters", "conv_tol")
-            }
+            ranging = {k: v for k, v in ranging.items() if k not in ("max_iters", "conv_tol")}
+            _check_keys("ranging", ranging, RangingConfig)
+            missing = {f.name for f in fields(RangingConfig)} - set(ranging)
+            if missing:
+                raise ValueError(f"ranging lacks settings {sorted(missing)}")
             kwargs["ranging"] = RangingConfig(**ranging)
-        else:
-            kwargs.pop("ranging", None)
         return cls(**kwargs)
 
     def save(self, path) -> None:
@@ -164,6 +180,12 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _check_keys(name: str, d: dict, cls) -> None:
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys {sorted(unknown)}")
 
 
 def required_taps(bs, irs, radius_m: float, cfg: OfdmConfig) -> int:
@@ -294,38 +316,29 @@ def _true_positions_by_rank(scene: Scene) -> tuple[Point2D, ...]:
 
 
 def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSets:
-    """Full waveform path: synthesize pilots and echoes, recover ranges."""
-    plan = make_plan(cfg.ofdm.n_subcarriers)
+    """Full waveform path in the tap domain: echoes and noise to ranges.
+
+    Thresholds the same matched-filter vectors that synthesizing and
+    demodulating both symbols would give, without synthesizing them.
+    """
+    ofdm = cfg.ofdm
     rcfg = cfg.ranging_config(scene)
     pilot_seed, phase_seed_seq, noise1, noise2 = seed_seq.spawn(4)
     phase_seed = int(phase_seed_seq.generate_state(1)[0])
-    pilots = make_pilots(plan, pilot_seed)
-    snap1 = simulate_freq_rx(
-        build_paths(scene, cfg.ofdm, symbol=1, phase_seed=phase_seed),
-        pilots,
-        cfg.ofdm,
-        plan,
-        seed=noise1,
-    )
-    snap2 = simulate_freq_rx(
-        build_paths(scene, cfg.ofdm, symbol=2, phase_seed=phase_seed),
-        pilots,
-        cfg.ofdm,
-        plan,
-        seed=noise2,
-    )
-    known = irs_echo_bins(scene, cfg.ofdm)
+    pilots = make_pilots(make_plan(ofdm.n_subcarriers), pilot_seed)
+    second_paths = build_paths(scene, ofdm, symbol=2, phase_seed=phase_seed)
+    v1 = tap_domain_rx(second_paths.absorbing(), pilots, ofdm, seed=noise1)
+    v2 = tap_domain_rx(second_paths, pilots, ofdm, seed=noise2)
+    known = irs_echo_bins(scene, ofdm)
     first = []
     second = []
     for m in (0, 1):
-        est1 = lasso_solve(snap1.by_bs[m], cfg.ofdm, rcfg)
+        est1 = shrink(v1[m], penalties(rcfg, ofdm.n_taps), ofdm)
         phi3 = detect_support(est1, rcfg.delta1)
-        est2 = weighted_lasso_solve(snap2.by_bs[m], known[m], phi3, cfg.ofdm, rcfg)
+        est2 = shrink(v2[m], penalties(rcfg, ofdm.n_taps, known[m] | phi3), ofdm)
         first.append(est1)
         second.append(est2)
-    return build_range_sets(
-        (first[0], first[1]), (second[0], second[1]), scene, cfg.ofdm, rcfg
-    )
+    return build_range_sets((first[0], first[1]), (second[0], second[1]), scene, ofdm, rcfg)
 
 
 def run_trial(
@@ -431,6 +444,8 @@ def _second_stage(cfg: ExperimentConfig, scene: Scene, sets: RangeSets):
 
     def fits(t):
         triples = _constraints(sets, t, scene, w)
+        if fit_must_exceed(triples, gn):
+            return False
         init = default_init(sets, t, scene)
         return (
             fit_stays_below(triples, gn, init)

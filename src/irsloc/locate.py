@@ -212,6 +212,57 @@ def fit_stays_below(triples, cfg: GnConfig, init) -> bool:
     return float(r @ r) < threshold - cfg.max_iters * (1e-15 + 2.0**-52 * threshold)
 
 
+def _cost_lower_bound(triples) -> float:
+    """A lower bound on the cost of ``_constraints``' four rows at any point.
+
+    The two IRS rows share an anchor, so with weights ``w = 1/sigma**2``
+    their cost is ``(w3 + w4) * (rho_bar - d)**2`` at the weighted mean
+    ``rho_bar`` plus the constant ``w3*w4/(w3 + w4) * (rho3 - rho4)**2``
+    (``gap**2 / (2 sigma_via**2)`` at equal sigmas).  For two of the three
+    remaining rows with anchors ``D`` apart, the triangle inequality bounds
+    their residuals' sum below by the circles' separation
+    ``s = max(D - ra - rb, |ra - rb| - D, 0)``, so their cost is at least
+    ``s**2 * wa*wb/(wa + wb)``.  The constant plus the largest pair bound
+    holds everywhere.
+    """
+    (b1, r1, s1), (b2, r2, s2), (q, r3, s3), (_, r4, s4) = triples
+    w3, w4 = 1.0 / (s3 * s3), 1.0 / (s4 * s4)
+    wv = w3 + w4
+    rows = (
+        (b1, r1, 1.0 / (s1 * s1)),
+        (b2, r2, 1.0 / (s2 * s2)),
+        (q, (w3 * r3 + w4 * r4) / wv, wv),
+    )
+    best = 0.0
+    for i, (a, ra, wa) in enumerate(rows):
+        for b, rb, wb in rows[i + 1 :]:
+            d = distance(a, b)
+            s = max(d - ra - rb, abs(ra - rb) - d, 0.0)
+            best = max(best, s * s * wa * wb / (wa + wb))
+    return w3 * w4 / wv * (r3 - r4) ** 2 + best
+
+
+def fit_must_exceed(triples, cfg: GnConfig) -> bool:
+    """True when ``fit_position(triples, cfg, init)`` must end at or above the
+    threshold ``T`` from any ``init``: the mirror of ``fit_stays_below``.
+
+    ``_cost_lower_bound`` holds for the exact cost everywhere.  Where a
+    computed cost is below ``T`` every weighted residual is at most
+    ``sqrt(T)``, so each row rounds numbers no larger than ``|range| +
+    2 |anchor|_1 + sqrt(T) * sigma`` and errs by under ``2**-49`` of that over
+    ``sigma``.  With ``E`` the rows' sum, the computed cost and the bound each
+    err by under ``2 sqrt(T) E + E**2``, plus ``2**-50 T`` for the sums.  A
+    bound that clears ``T`` by both proves the outcome without a fit.
+    """
+    threshold = cfg.residual_threshold
+    root = math.sqrt(threshold)
+    e = 2.0**-49 * sum(
+        (abs(r) + 2.0 * (abs(a[0]) + abs(a[1])) + root * s) / s for a, r, s in triples
+    )
+    margin = 2.0 * (2.0 * root * e + e * e) + 2.0**-50 * threshold
+    return _cost_lower_bound(triples) >= threshold + margin
+
+
 def default_init(sets: RangeSets, t: AssociationTuple, scene: Scene) -> Point2D:
     """Starting point from the two direct-range circles.
 

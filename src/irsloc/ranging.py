@@ -20,6 +20,13 @@ its minimizer is one complex soft threshold of the matched-filter output
 ``A'y / (p * N/2)`` at ``beta / (p * N/2)`` (Tibshirani 1996; Donoho and
 Johnstone 1994).  ``A'y`` is one length-N inverse FFT of the
 pilot-compensated samples scattered onto the comb.
+
+Experiments never form ``y``: ``waveform.tap_domain_rx`` gives the
+matched-filter vector ``h + A'z / (p * N/2)`` straight from the taps and the
+noise draws, and ``shrink`` thresholds it.  ``lasso_solve`` and
+``weighted_lasso_solve`` take that vector from synthesized samples
+(``waveform.simulate_freq_rx``) instead; they are the reference chain the
+acceptance tests and the benchmark's traced rebuild run.
 """
 
 import math
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import Scene, _layout_constants, delay_cell, distance, echo_lengths
-from .waveform import BsSnapshot, LinkType, OfdmConfig, echo_gain
+from .waveform import BsSnapshot, LinkType, OfdmConfig, echo_gain, matched_filter
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,37 @@ def soft_threshold(z, t):
     return out
 
 
-def _solve(snap: BsSnapshot, cfg: OfdmConfig, beta: np.ndarray) -> ChannelEstimate:
-    """Closed-form weighted lasso on an interleaved comb.
+def penalties(rcfg: RangingConfig, n_taps: int, known=None) -> np.ndarray:
+    """Per-tap l1 weights of one solve.
+
+    ``known=None`` is the first symbol: ``rho`` on every tap.  Otherwise
+    ``rho1`` on the ``known`` bins and ``rho2`` elsewhere; bins beyond the
+    window are ignored, they cannot appear in the estimate anyway.
+    """
+    if known is None:
+        return np.full(n_taps, rcfg.rho)
+    beta = np.full(n_taps, rcfg.rho2)
+    for l in known:
+        if 0 <= l < n_taps:
+            beta[l] = rcfg.rho1
+    return beta
+
+
+def shrink(
+    v: np.ndarray, beta: np.ndarray, cfg: OfdmConfig, p: float | None = None
+) -> ChannelEstimate:
+    """Weighted-lasso estimate from its matched-filter vector ``v = A'y / c``.
+
+    With ``A'A = c * I``, ``c = p * N/2``, the minimizer is ``v`` soft
+    thresholded at ``beta / c``.  ``p`` defaults to the config's
+    per-subcarrier power, the one ``waveform`` transmits at.
+    """
+    c = (cfg.subcarrier_power_w if p is None else p) * (cfg.n_subcarriers // 2)
+    return ChannelEstimate(h=soft_threshold(v, beta / c), n_iters=1)
+
+
+def _matched_filter(snap: BsSnapshot, cfg: OfdmConfig) -> np.ndarray:
+    """``A'y / (p * N/2)`` of one received comb.
 
     Raises ValueError unless the comb is N/2 bins at stride 2 and the pilots
     are unit-modulus: only then is ``A'A`` the scaled identity the closed
@@ -129,18 +165,13 @@ def _solve(snap: BsSnapshot, cfg: OfdmConfig, beta: np.ndarray) -> ChannelEstima
     s = np.asarray(snap.pilots, dtype=complex)
     if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
         raise ValueError("closed-form recovery needs unit-modulus pilots")
-    p = snap.tx_power_w
-    z = np.zeros(n, dtype=complex)
-    z[comb[0] - 1 :: 2] = s.conj() * snap.rx
-    ahy = math.sqrt(p) * n * np.fft.ifft(z)[: cfg.n_taps]
-    c = p * (n // 2)
-    return ChannelEstimate(h=soft_threshold(ahy / c, beta / c), n_iters=1)
+    return matched_filter(s.conj() * snap.rx, comb[0] - 1, snap.tx_power_w, cfg)
 
 
 def lasso_solve(snap: BsSnapshot, cfg: OfdmConfig, rcfg: RangingConfig) -> ChannelEstimate:
     """First-symbol tap recovery with a uniform l1 penalty."""
-    beta = np.full(cfg.n_taps, rcfg.rho)
-    return _solve(snap, cfg, beta)
+    beta = penalties(rcfg, cfg.n_taps)
+    return shrink(_matched_filter(snap, cfg), beta, cfg, snap.tx_power_w)
 
 
 def weighted_lasso_solve(
@@ -154,15 +185,10 @@ def weighted_lasso_solve(
 
     ``irs_bins`` are delay bins of the static anchor reflections (from
     geometry), ``target_bins`` the support detected in the first symbol.
-    Bins beyond the tap window are ignored, they cannot appear in the
-    estimate anyway.  With both sets empty this reduces to ``lasso_solve``
-    at penalty ``rho2``.
+    With both sets empty this reduces to ``lasso_solve`` at penalty ``rho2``.
     """
-    beta = np.full(cfg.n_taps, rcfg.rho2)
-    for l in set(irs_bins) | set(target_bins):
-        if 0 <= l < cfg.n_taps:
-            beta[l] = rcfg.rho1
-    return _solve(snap, cfg, beta)
+    beta = penalties(rcfg, cfg.n_taps, set(irs_bins) | set(target_bins))
+    return shrink(_matched_filter(snap, cfg), beta, cfg, snap.tx_power_w)
 
 
 def detect_support(est: ChannelEstimate, delta: float) -> set[int]:

@@ -12,6 +12,10 @@ exact (``c_n`` is the 1-based subcarrier index).  ``simulate_freq_rx``
 implements that model directly; the time-domain modulate/convolve/demodulate
 chain is equivalent sample for sample and serves as its reference.
 
+Experiments never synthesize ``y``: recovery reads only each comb's matched
+filter, which is the taps plus matched-filtered noise (``tap_domain_rx``).
+The dense synthesis draws the same noise and stays as its reference.
+
 Echo kinds, named for the receiver ``m`` (transmitter is also ``m``):
 
 * ``IRS_ECHO``: BS -> IRS -> BS static reflection, delay known from geometry.
@@ -169,6 +173,17 @@ class PathList:
     def for_bs(self, m: int) -> tuple[PathTap, ...]:
         return self.taps[m]
 
+    def absorbing(self) -> "PathList":
+        """The first-symbol list: only the direct target echoes.
+
+        ``build_paths`` lists them first for every symbol, with phases keyed
+        by path identity, so this equals ``build_paths(..., symbol=1)``.
+        """
+        taps = tuple(
+            tuple(t for t in per_bs if t.link is LinkType.TARGET_ECHO) for per_bs in self.taps
+        )
+        return PathList(symbol=1, taps=(taps[0], taps[1]))
+
 
 def _path_phase(phase_seed: int, *key: int) -> float:
     """Stable uniform phase for one propagation path.
@@ -308,6 +323,62 @@ class FreqSnapshot:
     by_bs: tuple[BsSnapshot, BsSnapshot]
 
 
+def _comb_noise(cfg: OfdmConfig, seed) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-BS receiver noise on the N/2 bins of each comb; None when disabled.
+
+    Circular complex Gaussian with variance ``cfg.noise_var`` per bin, drawn
+    from one generator in a fixed order: BS 1's real parts, its imaginary
+    parts, then BS 2's.
+    """
+    if cfg.noise_var <= 0:
+        return None
+    rng = np.random.default_rng(seed)
+    n = cfg.n_subcarriers // 2
+    scale = math.sqrt(cfg.noise_var / 2.0)
+    w1 = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    w2 = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return w1, w2
+
+
+def matched_filter(values: np.ndarray, m: int, p: float, cfg: OfdmConfig) -> np.ndarray:
+    """``A'v / (p * N/2)`` for pilot-compensated samples ``v`` on BS ``m``'s comb.
+
+    ``A'v = sqrt(p) * G'v`` is one length-N inverse FFT of ``v`` scattered
+    onto the comb's bins (0-based ``m, m + 2, ...``), truncated to L taps.
+    """
+    n = cfg.n_subcarriers
+    z = np.zeros(n, dtype=complex)
+    z[m::2] = values
+    return math.sqrt(p) * n * np.fft.ifft(z)[: cfg.n_taps] / (p * (n // 2))
+
+
+def tap_domain_rx(
+    paths: PathList,
+    pilots: tuple[np.ndarray, np.ndarray],
+    cfg: OfdmConfig,
+    seed=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-BS matched-filter vectors of ``simulate_freq_rx``'s samples.
+
+    On the interleaved comb with unit-modulus pilots ``A'A = p * N/2 * I``,
+    so ``A'y / (p * N/2) = h + A'z / (p * N/2)``: the tap vector plus the
+    matched filter of the same noise ``z`` that ``simulate_freq_rx`` draws
+    for ``seed``.  No frequency sample is synthesized.
+    """
+    p = cfg.subcarrier_power_w
+    noise = _comb_noise(cfg, seed)
+    out = []
+    for m in (0, 1):
+        s = np.asarray(pilots[m], dtype=complex)
+        if s.shape != (cfg.n_subcarriers // 2,):
+            raise ValueError(f"pilots for BS {m + 1} do not match N/2 subcarriers")
+        v = channel_vector(paths.for_bs(m), cfg.n_taps)
+        if noise is not None:
+            v = v + matched_filter(s.conj() * noise[m], m, p, cfg)
+        out.append(v)
+    return out[0], out[1]
+
+
 def simulate_freq_rx(
     paths: PathList,
     pilots: tuple[np.ndarray, np.ndarray],
@@ -318,17 +389,18 @@ def simulate_freq_rx(
     """Frequency-domain receive model on each BS's own comb.
 
     Implements the exact post-DFT relation for integer-delay taps within the
-    cyclic prefix; additive noise is circular complex Gaussian per subcarrier
-    with variance ``cfg.noise_var``.  BS 1's vector is ``G1 @ h`` with the
-    cached steering matrix, about 10 MB at the stock 2048 subcarriers and 640
-    taps.  BS 2's comb is BS 1's shifted by one bin, so by the DFT shift
-    theorem its vector is ``G1 @ (ramp * h)`` with ``ramp[l] = W**l`` and
-    ``W = exp(-2j*pi/N)``: the first L twiddles, since L <= N/2.
+    cyclic prefix; additive noise is ``_comb_noise``.  BS 1's vector is
+    ``G1 @ h`` with the cached steering matrix, about 10 MB at the stock 2048
+    subcarriers and 640 taps.  BS 2's comb is BS 1's shifted by one bin, so
+    by the DFT shift theorem its vector is ``G1 @ (ramp * h)`` with
+    ``ramp[l] = W**l`` and ``W = exp(-2j*pi/N)``: the first L twiddles, since
+    L <= N/2.  Experiments read ``tap_domain_rx`` instead; this synthesis is
+    its reference.
     """
-    rng = np.random.default_rng(seed)
     p = cfg.subcarrier_power_w
     g1 = steering_matrix(cfg.n_subcarriers, cfg.n_taps)
     ramp = _twiddles(cfg.n_subcarriers)[:cfg.n_taps]
+    noise = _comb_noise(cfg, seed)
     snaps = []
     for m in (0, 1):
         comb = plan.for_bs(m)
@@ -337,10 +409,7 @@ def simulate_freq_rx(
             raise ValueError(f"pilots or comb for BS {m + 1} do not match N/2 subcarriers")
         h = channel_vector(paths.for_bs(m), cfg.n_taps)
         y = math.sqrt(p) * s * (g1 @ (ramp * h if m else h))
-        if cfg.noise_var > 0:
-            scale = math.sqrt(cfg.noise_var / 2.0)
-            y = y + scale * (
-                rng.standard_normal(len(comb)) + 1j * rng.standard_normal(len(comb))
-            )
+        if noise is not None:
+            y = y + noise[m]
         snaps.append(BsSnapshot(subcarriers=comb, rx=y, pilots=s, tx_power_w=p))
     return FreqSnapshot(by_bs=(snaps[0], snaps[1]))

@@ -170,6 +170,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key} must"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tau_m", math.nan),
+            ("error_radius_m", math.inf),
+            ("target_radius_m", "50"),
+            ("tau_m", True),
+            ("skip_phase1", "false"),
+            ("skip_phase1", 0),
+        ],
+        ids=repr,
+    )
+    def test_from_dict_rejects_bad_values(self, key, value):
+        d = default_config(1).to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("block", [None, "ofdm", "gn", "ranging"])
+    def test_from_dict_rejects_unknown_keys(self, block):
+        rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
+        d = default_config(1, ranging=rcfg).to_dict()
+        (d if block is None else d[block])["tau"] = 1.5
+        with pytest.raises(ValueError, match=r"^unknown .*keys \['tau'\]"):
+            ExperimentConfig.from_dict(d)
+
+    def test_from_dict_names_missing_ranging_settings(self):
+        d = default_config(1).to_dict()
+        d["ranging"] = {"rho": 1.0, "rho1": 0.1}
+        with pytest.raises(ValueError, match=r"\['delta1', 'delta2', 'rho2'\]"):
+            ExperimentConfig.from_dict(d)
+
     def test_from_dict_takes_numpy_integer_counts(self):
         d = default_config(1).to_dict()
         d.update(k=np.int64(3), trials=np.int32(2), seed=np.uint64(0))
@@ -1041,6 +1073,17 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "cardinality.csv").exists()
         assert "K=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["localize", "cardinality", "topology", "baseline"])
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command):
+        d = default_config(1).to_dict()
+        d["tau_m"] = math.nan
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "tau_m must be a finite number" in capsys.readouterr().err
 
     def test_cardinality_n_irs_against_config(self, tmp_path, capsys):
         cfg_path = str(Path(__file__).parents[1] / "configs" / "single-irs-localize.json")

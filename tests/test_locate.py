@@ -19,9 +19,11 @@ from irsloc.locate import (
     LocEstimate,
     ResidualWeights,
     _constraints,
+    _cost_lower_bound,
     _damped_step,
     _residual_and_jacobian,
     default_init,
+    fit_must_exceed,
     fit_position,
     fit_stays_below,
     gauss_newton_solve,
@@ -326,6 +328,62 @@ class TestStartCertificate:
         margin = 100 * (1e-15 + 2.0**-52)
         assert not fit_stays_below(triples, GnConfig(residual_threshold=1.0 + 0.5 * margin), (0.0, 0.0))
         assert fit_stays_below(triples, GnConfig(residual_threshold=1.0 + 2.0 * margin), (0.0, 0.0))
+
+
+def pick_tuples(scene, sets, limit):
+    """Up to ``limit`` distinct tuples of the scene's pick table, level by level."""
+    tuples = [t for level in candidate_picks(sets, scene, 1.5) for t, _ in level]
+    return sorted(set(tuples))[:limit]
+
+
+class TestLowerBoundCertificate:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scene_args=quantized_scenes,
+        offsets=st.lists(
+            st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)), max_size=2
+        ),
+    )
+    def test_bound_never_exceeds_the_reference_fit(self, scene_args, offsets):
+        scene, sets = quantized_scene_and_sets(*scene_args)
+        for t in pick_tuples(scene, sets, 40):
+            triples = _constraints(sets, t, scene, W)
+            bound = _cost_lower_bound(triples)
+            start = default_init(sets, t, scene)
+            for init in [start] + [(start.x + dx, start.y + dy) for dx, dy in offsets]:
+                ref = reference_fit_position(triples, GN, init)
+                assert bound <= ref.residual * (1.0 + 1e-12) + 1e-12
+                # a threshold just above the fit's cost must not be certified
+                above = GnConfig(residual_threshold=float(np.nextafter(ref.residual, math.inf)))
+                assert not fit_must_exceed(triples, above)
+
+    def test_certified_tuples_fit_above_the_threshold(self):
+        certified = 0
+        for seed in range(1, 6):
+            scene = sample_targets(
+                DEFAULT_BS, DEFAULT_IRS_LAYOUTS[1], 7, 50.0, seed=seed, cell_m=0.75
+            )
+            sets = RangeSets.from_geometry(scene, cell_m=0.75)
+            w = ResidualWeights.from_cell(0.75)
+            for t in pick_tuples(scene, sets, 10**6):
+                triples = _constraints(sets, t, scene, w)
+                if fit_must_exceed(triples, GN):
+                    certified += 1
+                    est = fit_position(triples, GN, default_init(sets, t, scene))
+                    assert est.residual >= GN.residual_threshold
+        assert certified > 0
+
+    def test_hand_example(self):
+        # one anchor: the IRS rows' gap term (3 - 1)**2 / (2 * 0.5**2) = 8,
+        # plus a BS row (radius 5, weight 1) against the IRS rows' mean
+        # circle (radius 2, weight 8): 3**2 * 1 * 8 / 9 = 8; the true minimum
+        # is 22.4, at distance 2.6
+        triples = [((0.0, 0.0), 5.0, 1.0), ((0.0, 0.0), 5.0, 1.0)]
+        triples += [((0.0, 0.0), 3.0, 0.5), ((0.0, 0.0), 1.0, 0.5)]
+        assert _cost_lower_bound(triples) == pytest.approx(16.0, rel=1e-15)
+        assert fit_position(triples, GN, (2.0, 0.0)).residual == pytest.approx(22.4)
+        assert fit_must_exceed(triples, GnConfig(residual_threshold=15.99))
+        assert not fit_must_exceed(triples, GnConfig(residual_threshold=16.0))
 
 
 class TestFitOracle:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,18 @@ from irsloc.ranging import (
     ChannelEstimate,
     RangeSets,
     RangingConfig,
+    _matched_filter,
     build_range_sets,
     delay_to_range,
     detect_support,
     irs_echo_bins,
     lasso_solve,
+    penalties,
+    shrink,
     soft_threshold,
     weighted_lasso_solve,
 )
-from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
+from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS, default_config
 from irsloc.scene import Point2D, Scene, SceneSamplingError, distance, sample_targets
 from irsloc.waveform import (
     BsSnapshot,
@@ -28,6 +32,7 @@ from irsloc.waveform import (
     make_pilots,
     make_plan,
     simulate_freq_rx,
+    tap_domain_rx,
 )
 
 BS = (Point2D(100.0, 0.0), Point2D(-100.0, 0.0))
@@ -315,6 +320,79 @@ class TestClosedForm:
         rcfg = RangingConfig(rho=0.1, rho1=0.01, rho2=0.1, delta1=1.0, delta2=1.0)
         with pytest.raises(ValueError, match="interleaved comb"):
             lasso_solve(snap, cfg, rcfg)
+
+
+def _tap_domain_cases():
+    """name: (ofdm config, scenes, coverage radius), on the stock plan and N = 64."""
+    stock = default_config(3)
+    scenes = [
+        sample_targets(stock.bs, stock.irs, 4, stock.target_radius_m, s, cell_m=stock.ofdm.cell_m)
+        for s in (3, 8)
+    ]
+    # a desk-sized layout whose compound echoes fit 32 taps of a 400 MHz grid
+    small = OfdmConfig(n_subcarriers=64, subcarrier_spacing_hz=6.25e6, cp_len=32, n_taps=32)
+    desk = Scene(
+        bs=(Point2D(8.0, 0.0), Point2D(-8.0, 0.0)),
+        irs=(Point2D(0.0, 6.0),),
+        targets=(Point2D(1.0, 6.0), Point2D(-1.5, 5.0)),
+        true_irs=(0, 0),
+    )
+    return {"stock": (stock.ofdm, scenes, stock.target_radius_m), "n64": (small, [desk], 5.0)}
+
+
+TAP_DOMAIN_CASES = _tap_domain_cases()
+
+
+class TestTapDomain:
+    """``tap_domain_rx`` is the matched filter of ``simulate_freq_rx``'s samples."""
+
+    @pytest.mark.parametrize("noise_psd", [-174.0, -110.0, None], ids=["stock", "loud", "off"])
+    @pytest.mark.parametrize("case", TAP_DOMAIN_CASES)
+    def test_matches_matched_filter_of_synthesis(self, case, noise_psd):
+        base, scenes, radius = TAP_DOMAIN_CASES[case]
+        cfg = replace(base, noise_psd_dbm_hz=noise_psd)
+        plan = make_plan(cfg.n_subcarriers)
+        for i, scene in enumerate(scenes):
+            rcfg = RangingConfig.calibrated(cfg, scene, radius)
+            pilots = make_pilots(plan, 40 + i)
+            known = irs_echo_bins(scene, cfg)
+            second = build_paths(scene, cfg, symbol=2, phase_seed=7 + i)
+            first_support = {}
+            for symbol, paths in ((1, second.absorbing()), (2, second)):
+                noise_seed = np.random.SeedSequence(i).spawn(2)[symbol - 1]
+                snap = simulate_freq_rx(paths, pilots, cfg, plan, seed=noise_seed)
+                fast = tap_domain_rx(paths, pilots, cfg, seed=noise_seed)
+                for m in (0, 1):
+                    ref = _matched_filter(snap.by_bs[m], cfg)
+                    assert np.max(np.abs(fast[m] - ref)) <= 1e-12 * np.max(np.abs(ref))
+                    if symbol == 1:
+                        est_ref = lasso_solve(snap.by_bs[m], cfg, rcfg)
+                        est = shrink(fast[m], penalties(rcfg, cfg.n_taps), cfg)
+                        delta = rcfg.delta1
+                        first_support[m] = detect_support(est_ref, delta)
+                    else:
+                        est_ref = weighted_lasso_solve(
+                            snap.by_bs[m], known[m], first_support[m], cfg, rcfg
+                        )
+                        est = shrink(
+                            fast[m], penalties(rcfg, cfg.n_taps, known[m] | first_support[m]), cfg
+                        )
+                        delta = rcfg.delta2
+                    assert detect_support(est, delta) == detect_support(est_ref, delta)
+                    assert detect_support(est, delta), "every case has echoes to detect"
+
+    @pytest.mark.parametrize("case", TAP_DOMAIN_CASES)
+    def test_absorbing_is_the_first_symbol(self, case):
+        cfg, scenes, _ = TAP_DOMAIN_CASES[case]
+        for scene in scenes:
+            first = build_paths(scene, cfg, symbol=1, phase_seed=11)
+            assert build_paths(scene, cfg, symbol=2, phase_seed=11).absorbing() == first
+
+    def test_pilots_for_another_n_raise(self):
+        cfg, scenes, _ = TAP_DOMAIN_CASES["n64"]
+        paths = build_paths(scenes[0], cfg, symbol=2)
+        with pytest.raises(ValueError, match="pilots"):
+            tap_domain_rx(paths, make_pilots(make_plan(128), 0), cfg)
 
 
 class TestDetection:
