@@ -18,7 +18,6 @@ seed, so runs are reproducible and different trial counts share prefixes.
 import csv
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -31,6 +30,7 @@ from .scene import (
     Scene,
     SceneSamplingError,
     as_point,
+    check_fields,
     check_layout,
     check_topology,
     distance,
@@ -38,6 +38,7 @@ from .scene import (
     sample_targets,
 )
 from .waveform import (
+    C0,
     DelayWindowError,
     OfdmConfig,
     build_paths,
@@ -68,6 +69,9 @@ from .association import (
     solutions_equivalent,
 )
 from .locate import (
+    GN_DAMPING,
+    GN_MAX_ITERS,
+    GN_STEP_TOL_M,
     GnConfig,
     LocalizationResult,
     LocEstimate,
@@ -107,39 +111,25 @@ class ExperimentConfig:
     skip_phase1: bool = True
     ofdm: OfdmConfig = field(default_factory=OfdmConfig)
     gn: GnConfig = field(default_factory=GnConfig)
-    ranging: RangingConfig | None = None
 
     def __post_init__(self):
+        check_fields(self)
         bs, irs = check_layout(self.bs, self.irs)
         object.__setattr__(self, "bs", bs)
         object.__setattr__(self, "irs", irs)
-        for name in ("k", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if self.k < 1 or self.trials < 1:
             raise ValueError("k and trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("target_radius_m", "tau_m", "error_radius_m"):
-            value = getattr(self, name)
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
-            if isinstance(value, bool) or not finite:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
         if self.tau_m < 0 or self.error_radius_m <= 0 or self.target_radius_m <= 0:
-            raise ValueError("bad experiment radii")
-        if not isinstance(self.skip_phase1, bool):
-            raise ValueError(f"skip_phase1 must be true or false, got {self.skip_phase1!r}")
+            raise ValueError("tau_m must be >= 0, error_radius_m and target_radius_m > 0")
 
     @property
     def weights(self) -> ResidualWeights:
         return ResidualWeights.from_cell(self.ofdm.cell_m)
 
     def ranging_config(self, scene: Scene) -> RangingConfig:
-        if self.ranging is not None:
-            return self.ranging
+        """Phase-I thresholds from the link budget of ``scene``'s layout."""
         return RangingConfig.calibrated(self.ofdm, scene, self.target_radius_m)
 
     def to_dict(self) -> dict:
@@ -151,27 +141,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config a JSON object describes; ``ValueError`` names any key
-        that is not a field.  A ``ranging`` block that is null or ``{}``
-        means calibrated thresholds."""
-        _check_keys("config", d, cls)
-        kwargs = dict(d)
+        that is not a setting, and any ``RETIRED_SETTINGS`` key away from the
+        value the code now fixes, so an older config keeps its meaning."""
+        kwargs = _settings("config", d, cls)
         for key, block in (("ofdm", OfdmConfig), ("gn", GnConfig)):
-            if key in d:
-                if not isinstance(d[key], dict):
-                    raise ValueError(f"{key} must be an object of settings, got {d[key]!r}")
-                _check_keys(key, d[key], block)
-                kwargs[key] = block(**d[key])
-        ranging = kwargs.pop("ranging", None)
-        if ranging:
-            if not isinstance(ranging, dict):
-                raise ValueError(f"ranging must be an object of settings, got {ranging!r}")
-            # iteration limits of the retired iterative solver are ignored
-            ranging = {k: v for k, v in ranging.items() if k not in ("max_iters", "conv_tol")}
-            _check_keys("ranging", ranging, RangingConfig)
-            missing = {f.name for f in fields(RangingConfig)} - set(ranging)
-            if missing:
-                raise ValueError(f"ranging lacks settings {sorted(missing)}")
-            kwargs["ranging"] = RangingConfig(**ranging)
+            if key in kwargs:
+                kwargs[key] = block(**_settings(key, kwargs[key], block))
         return cls(**kwargs)
 
     def save(self, path) -> None:
@@ -182,10 +157,28 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _check_keys(name: str, d: dict, cls) -> None:
-    unknown = set(d) - {f.name for f in fields(cls)}
+# Settings a config once carried and the code now fixes, per block: each
+# loads only at the values listed (null or {} ``ranging`` meant calibrated).
+RETIRED_SETTINGS = {
+    "config": {"ranging": (None, {})},
+    "ofdm": {"c0": (C0,)},
+    "gn": {"max_iters": (GN_MAX_ITERS,), "step_tol_m": (GN_STEP_TOL_M,), "damping": (GN_DAMPING,)},
+}
+
+
+def _settings(name: str, d: dict, cls) -> dict:
+    """``d`` without block ``name``'s retired keys, after checking every key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be an object of settings, got {d!r}")
+    retired = RETIRED_SETTINGS[name]
+    unknown = set(d) - {f.name for f in fields(cls)} - set(retired)
     if unknown:
-        raise ValueError(f"unknown {name} keys {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys {sorted(unknown, key=str)}")
+    for key in retired.keys() & d.keys():
+        if d[key] not in retired[key]:
+            fixed = " or ".join(json.dumps(v) for v in retired[key])
+            raise ValueError(f"{key} is no longer a setting: it loads only as {fixed}, got {d[key]!r}")
+    return {k: v for k, v in d.items() if k not in retired}
 
 
 def required_taps(bs, irs, radius_m: float, cfg: OfdmConfig) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Point2D, Scene, distance, nearest_irs
+from .scene import Point2D, Scene, check_fields, distance, nearest_irs
 from .ranging import RangeSets
 from .association import (
     AssociationTuple,
@@ -65,26 +65,29 @@ class ResidualWeights:
         return cls(sigma_direct=sigma, sigma_via=sigma)
 
 
+# Gauss-Newton internals: iteration cap, converged step length, initial damping
+GN_MAX_ITERS = 100
+GN_STEP_TOL_M = 1e-10
+GN_DAMPING = 1e-3
+
+
 @dataclass(frozen=True)
 class GnConfig:
-    """Gauss-Newton solver knobs.
+    """The selection's pruning bound.
 
     ``residual_threshold`` is the pruning bound on a tuple's total squared
     weighted residual; 16 keeps every correct hypothesis of the quantized
     400 MHz grid (worst case just under 15) while rejecting fits that miss
-    by a couple of range cells.
+    by a couple of range cells.  The fit's own limits are the module
+    constants ``GN_MAX_ITERS``, ``GN_STEP_TOL_M`` and ``GN_DAMPING``.
     """
 
-    max_iters: int = 100
-    step_tol_m: float = 1e-10
     residual_threshold: float = 16.0
-    damping: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.step_tol_m <= 0:
-            raise ValueError("bad iteration limits")
-        if self.residual_threshold <= 0 or self.damping <= 0:
-            raise ValueError("threshold and damping must be positive")
+        check_fields(self)
+        if self.residual_threshold <= 0:
+            raise ValueError("residual_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     """Damped Gauss-Newton fit of circle constraints from ``init``.
 
     A singular damped system raises λ tenfold, as a rejected step does.  A
-    step shorter than ``cfg.step_tol_m`` ends the fit as converged, whether
+    step shorter than ``GN_STEP_TOL_M`` ends the fit as converged, whether
     it is accepted or rejected: a rejected one keeps ``x``, because every
     retry with more damping would be shorter still.
     """
@@ -163,10 +166,10 @@ def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     x = np.array(init, dtype=float)
     r, jac = _evaluate(x, *arrays)
     cost = float(r @ r)
-    lam = cfg.damping
+    lam = GN_DAMPING
     converged = False
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, GN_MAX_ITERS + 1):
         (a00, a01), (_, a11) = (jac.T @ jac).tolist()
         g0, g1 = (jac.T @ r).tolist()
         while lam <= 1e12:
@@ -182,12 +185,12 @@ def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
                 x, r, jac, cost = x_new, r_new, jac_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 break
-            if length < cfg.step_tol_m:
+            if length < GN_STEP_TOL_M:
                 break
             lam *= 10.0
         else:
             break
-        if length < cfg.step_tol_m:
+        if length < GN_STEP_TOL_M:
             converged = True
             break
     return LocEstimate(
@@ -203,13 +206,13 @@ def fit_stays_below(triples, cfg: GnConfig, init) -> bool:
 
     An accepted step raises the cost by at most 1e-15 plus the rounding of
     that sum, below ``2**-52`` of the threshold while the cost is under it, and
-    a fit accepts at most ``max_iters`` steps.  A start cost that far below
+    a fit accepts at most ``GN_MAX_ITERS`` steps.  A start cost that far below
     ``cfg.residual_threshold`` therefore proves the fit's outcome without
     running it.
     """
     r, _ = _residual_and_jacobian(init, triples)
     threshold = cfg.residual_threshold
-    return float(r @ r) < threshold - cfg.max_iters * (1e-15 + 2.0**-52 * threshold)
+    return float(r @ r) < threshold - GN_MAX_ITERS * (1e-15 + 2.0**-52 * threshold)
 
 
 def _cost_lower_bound(triples) -> float:

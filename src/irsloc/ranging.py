@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, _layout_constants, delay_cell, distance, echo_lengths
+from .scene import Scene, _layout_constants, check_fields, delay_cell, distance, echo_lengths
 from .waveform import BsSnapshot, LinkType, OfdmConfig, echo_gain, matched_filter
 
 
@@ -55,6 +55,7 @@ class RangingConfig:
     delta2: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.rho < 0 or self.rho1 < 0 or self.rho2 < 0:
             raise ValueError("penalties must be nonnegative")
         if self.rho1 > self.rho2:

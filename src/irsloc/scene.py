@@ -19,19 +19,24 @@ and the calibration take the echo amplitudes from ``waveform.echo_gain``.
 The anchor layout has one rule, ``check_layout``: two BSs at distinct points
 and at least one IRS, no two IRSs at one point and none on a BS.  Every place
 a layout enters (``ExperimentConfig``, ``Scene``, ``sample_targets``) calls
-it.  The module also hosts the anchor-placement checks used by the uniqueness
-experiments: pairwise differences of BS-to-IRS distances must be distinct,
-otherwise two IRSs become interchangeable in the association step.
+it.  The config classes' settings have one rule too, ``check_fields``, which
+checks each against its annotation.  The module also hosts the
+anchor-placement checks used by the uniqueness experiments: pairwise
+differences of BS-to-IRS distances must be distinct, otherwise two IRSs
+become interchangeable in the association step.
 """
 
+import dataclasses
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-# The round-trip range cell c0 / B of the default 400 MHz waveform (the same
+# The round-trip range cell C0 / B of the default 400 MHz waveform (the same
 # value as ``OfdmConfig().cell_m``); used only to keep sampled targets in
 # distinct delay cells so range lists have K entries.
 DEFAULT_CELL_M = 0.75
@@ -49,11 +54,55 @@ class SceneSamplingError(RuntimeError):
 
 
 def as_point(p) -> Point2D:
-    """Coerce a 2-sequence to a finite Point2D."""
-    x, y = float(p[0]), float(p[1])
+    """Coerce a pair of finite real numbers to a Point2D; ValueError otherwise."""
+    try:
+        x, y = p
+        if type(x) is not float or type(y) is not float:
+            if isinstance(x, (str, bytes, bool)) or isinstance(y, (str, bytes, bool)):
+                raise TypeError
+            x, y = float(x), float(y)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"not a point of two real coordinates: {p!r}") from None
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite coordinates: {p!r}")
     return Point2D(x, y)
+
+
+# the annotations ``check_fields`` knows and what each admits
+FIELD_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+FIELD_KINDS[float | None] = "a finite number or null"
+
+
+def check_fields(obj) -> None:
+    """Check each field of dataclass ``obj`` against its annotation: a
+    ``FIELD_KINDS`` entry (ints and floats but not bools; floats stored as
+    ``float``) or a nested dataclass block.  The ValueError names the field.
+    Layouts are the class's to check."""
+    for name, exact, kind in _field_plan(type(obj)):
+        v = getattr(obj, name)
+        if type(v) is exact and (exact is not float or math.isfinite(v)):
+            continue
+        if kind is int:
+            ok = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        elif exact is not float:
+            ok = isinstance(v, kind)
+        else:
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            ok = real and abs(v) <= sys.float_info.max or v is None and kind is not float
+        if not ok:
+            raise ValueError(f"{name} must be {FIELD_KINDS.get(kind) or kind.__name__}, got {v!r}")
+        if v is not None and exact in (int, float):
+            object.__setattr__(obj, name, exact(v))
+
+
+@functools.cache
+def _field_plan(cls) -> tuple:
+    """``(name, exact type, annotation)`` of each field ``check_fields`` checks."""
+    return tuple(
+        (f.name, float if f.type == float | None else f.type, f.type)
+        for f in dataclasses.fields(cls)
+        if f.type in FIELD_KINDS or dataclasses.is_dataclass(f.type)
+    )
 
 
 def distance(a, b) -> float:
@@ -97,18 +146,25 @@ def _bs_axis(bs) -> tuple[np.ndarray, np.ndarray]:
 def check_layout(bs, irs) -> tuple[tuple[Point2D, ...], tuple[Point2D, ...]]:
     """The anchor-layout rule; returns ``(bs, irs)`` coerced with ``as_point``.
 
-    Raises ValueError starting ``bs must`` unless there are exactly two BSs
-    at distinct points (so the BS line is defined), and one starting ``irs
-    must`` unless there is at least one IRS, no two IRSs share a point and
-    no IRS sits on a BS, or so near one that their squared distance is 0.0.
+    Raises ValueError starting ``bs must`` unless ``bs`` lists exactly two
+    finite points, distinct (so the BS line is defined), and one starting
+    ``irs must`` unless ``irs`` lists at least one finite point, no two IRSs
+    share a point and no IRS sits on a BS, or so near one that their squared
+    distance is 0.0.
     The checks are memoized per coerced layout (``_layout_constants``); a
     rejection is not.  The caller's points are returned, never the memo's,
     which may hold a ``-0.0`` where the caller has ``0.0``.
     """
-    bs = tuple(as_point(p) for p in bs)
-    irs = tuple(as_point(p) for p in irs)
+    bs, irs = _points("bs", bs), _points("irs", irs)
     _layout_constants(bs, irs)
     return bs, irs
+
+
+def _points(name: str, points) -> tuple[Point2D, ...]:
+    try:
+        return tuple(as_point(p) for p in points)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must list finite 2-D points, got {points!r}") from None
 
 
 @functools.lru_cache(maxsize=64)

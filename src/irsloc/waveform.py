@@ -33,7 +33,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .scene import Scene, _layout_constants, delay_cell, distance, echo_lengths
+from .scene import Scene, _layout_constants, check_fields, delay_cell, distance, echo_lengths
 
 
 class LinkType(str, Enum):
@@ -44,6 +44,9 @@ class LinkType(str, Enum):
 
 class DelayWindowError(ValueError):
     """An echo falls beyond the modeled tap window."""
+
+
+C0 = 3.0e8  # speed of light, m/s
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -58,7 +61,8 @@ class OfdmConfig:
     must cover it (``cp_len >= n_taps - 1``) and the interleaved combs limit
     it to ``n_subcarriers / 2`` taps before delay aliasing.  The reflection
     gains are dimensionless power constants of one bounce off a target and
-    off an IRS; ``echo_gain`` is the one link budget that reads them.
+    off an IRS; ``echo_gain`` is the one link budget that reads them.  The
+    speed of light is the module constant ``C0``, not a setting.
     """
 
     n_subcarriers: int = 2048
@@ -69,9 +73,9 @@ class OfdmConfig:
     noise_psd_dbm_hz: float | None = -174.0
     bs_reflect_gain: float = 1.0
     irs_reflect_gain: float = 0.04
-    c0: float = 3.0e8
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_subcarriers < 2 or self.n_subcarriers % 2 != 0:
             raise ValueError("n_subcarriers must be even and >= 2")
         if self.subcarrier_spacing_hz <= 0:
@@ -86,8 +90,6 @@ class OfdmConfig:
             )
         if self.bs_reflect_gain <= 0 or self.irs_reflect_gain <= 0:
             raise ValueError("reflection gains must be positive")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
 
     @property
     def bandwidth_hz(self) -> float:
@@ -95,8 +97,8 @@ class OfdmConfig:
 
     @property
     def cell_m(self) -> float:
-        """Round-trip range quantization cell, c0 / bandwidth."""
-        return self.c0 / self.bandwidth_hz
+        """Round-trip range quantization cell, C0 / bandwidth."""
+        return C0 / self.bandwidth_hz
 
     @property
     def tx_power_w(self) -> float:

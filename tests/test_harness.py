@@ -1,9 +1,11 @@
+import copy
 import csv
 import json
 import math
 import re
 import time
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from irsloc.harness import (
 from irsloc.locate import GnConfig, LocEstimate, fit_position, select_association
 from irsloc.ranging import RangeSets, RangingConfig, quantize_range
 from irsloc.scene import (
+    FIELD_KINDS,
     Point2D,
     SceneSamplingError,
     check_topology,
@@ -108,6 +111,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "field, layout",
+        [
+            ("bs", 5),
+            ("bs", "bs"),
+            ("bs", [[100.0, 0.0], None]),
+            ("bs", [[100.0, 0.0], [-100.0, "0"]]),
+            ("irs", [[0.0, 40.0, 1.0]]),
+            ("irs", [[True, 40.0]]),
+            ("irs", [[0.0, math.nan]]),
+            ("irs", [[0.0, 10**400]]),
+            ("irs", {"x": 0.0, "y": 40.0}),
+        ],
+        ids=repr,
+    )
+    def test_from_dict_rejects_points_that_are_not_points(self, field, layout):
+        d = default_config().to_dict()
+        d[field] = layout
+        with pytest.raises(ValueError, match=f"^{field} must list finite 2-D points"):
+            ExperimentConfig.from_dict(d)
+
     def test_rejects_duplicate_irs_positions(self):
         q = (0.0, 40.0)
         with pytest.raises(ValueError, match="^irs must"):
@@ -124,14 +148,6 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         cfg.save(path)
         assert ExperimentConfig.load(path) == cfg
-
-    def test_round_trip_with_ranging(self, tmp_path):
-        rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
-        cfg = default_config(1, ranging=rcfg)
-        path = tmp_path / "cfg.json"
-        cfg.save(path)
-        loaded = ExperimentConfig.load(path)
-        assert loaded.ranging == rcfg
 
     def test_stock_configs_save_byte_for_byte(self, tmp_path):
         paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -188,19 +204,77 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key} must"):
             ExperimentConfig.from_dict(d)
 
-    @pytest.mark.parametrize("block", [None, "ofdm", "gn", "ranging"])
+    @pytest.mark.parametrize("block", [None, "ofdm", "gn"])
     def test_from_dict_rejects_unknown_keys(self, block):
-        rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
-        d = default_config(1, ranging=rcfg).to_dict()
+        d = default_config(1).to_dict()
         (d if block is None else d[block])["tau"] = 1.5
         with pytest.raises(ValueError, match=r"^unknown .*keys \['tau'\]"):
             ExperimentConfig.from_dict(d)
 
-    def test_from_dict_names_missing_ranging_settings(self):
+    def test_from_dict_loads_retired_keys_at_fixed_values(self):
+        # the settings blocks as earlier releases wrote them
         d = default_config(1).to_dict()
-        d["ranging"] = {"rho": 1.0, "rho1": 0.1}
-        with pytest.raises(ValueError, match=r"\['delta1', 'delta2', 'rho2'\]"):
+        d["ofdm"]["c0"] = 300000000.0
+        d["gn"].update(max_iters=100, step_tol_m=1e-10, damping=0.001)
+        for ranging in (None, {}):
+            d["ranging"] = ranging
+            assert ExperimentConfig.from_dict(d) == default_config(1)
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            (None, "ranging", {"rho": 1.0, "rho1": 0.1, "rho2": 1.0, "delta1": 1e-9, "delta2": 1e-9}),
+            (None, "ranging", {"max_iters": 5000}),
+            (None, "ranging", []),
+            (None, "ranging", False),
+            ("ofdm", "c0", 299792458.0),
+            ("ofdm", "c0", math.nan),
+            ("gn", "max_iters", 2.5),
+            ("gn", "max_iters", True),
+            ("gn", "max_iters", 50),
+            ("gn", "step_tol_m", 1e-9),
+            ("gn", "damping", math.inf),
+        ],
+        ids=repr,
+    )
+    def test_from_dict_rejects_retired_keys_at_other_values(self, block, key, value):
+        d = default_config(1).to_dict()
+        (d if block is None else d[block])[key] = value
+        with pytest.raises(ValueError, match=f"^{key} is no longer a setting"):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("ofdm", "n_subcarriers", "2048"),
+            ("ofdm", "n_taps", 512.5),
+            ("ofdm", "cp_len", None),
+            ("ofdm", "subcarrier_spacing_hz", math.nan),
+            ("ofdm", "tx_power_dbm", math.nan),
+            ("ofdm", "tx_power_dbm", 10**400),
+            ("ofdm", "noise_psd_dbm_hz", math.inf),
+            ("ofdm", "noise_psd_dbm_hz", "off"),
+            ("ofdm", "irs_reflect_gain", math.inf),
+            ("ofdm", "bs_reflect_gain", False),
+            ("gn", "residual_threshold", math.nan),
+        ],
+        ids=repr,
+    )
+    def test_from_dict_rejects_bad_settings(self, block, key, value):
+        d = default_config(1).to_dict()
+        d[block][key] = value
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("cls", [ExperimentConfig, OfdmConfig, GnConfig, RangingConfig])
+    def test_every_field_is_checked(self, cls):
+        # a kind check_fields knows, a nested settings block or a layout
+        layouts = {"bs": tuple[Point2D, Point2D], "irs": tuple[Point2D, ...]}
+        base = cls(1.0, 0.1, 1.0, 1e-9, 1e-9) if cls is RangingConfig else cls()
+        for f in fields(cls):
+            assert f.type in FIELD_KINDS or is_dataclass(f.type) or layouts.get(f.name) == f.type
+            with pytest.raises(ValueError, match=f"^{f.name} must"):
+                replace(base, **{f.name: "x"})
 
     def test_from_dict_takes_numpy_integer_counts(self):
         d = default_config(1).to_dict()
@@ -208,13 +282,6 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(d)
         counts = [(type(v), v) for v in (cfg.k, cfg.trials, cfg.seed)]
         assert counts == [(int, 3), (int, 2), (int, 0)]
-
-    def test_from_dict_ignores_retired_solver_limits(self):
-        rcfg = RangingConfig(rho=1.0, rho1=0.1, rho2=1.0, delta1=1e-9, delta2=1e-9)
-        d = default_config(1, ranging=rcfg).to_dict()
-        assert "max_iters" not in d["ranging"]
-        d["ranging"].update(max_iters=5000, conv_tol=1e-8)
-        assert ExperimentConfig.from_dict(d).ranging == rcfg
 
     def test_weights_follow_cell(self):
         cfg = default_config()
@@ -446,6 +513,80 @@ class TestLayouts:
             out = run(cfg, 0, np.random.SeedSequence(seed))
             assert out.failure is None or out.failure in FAILURE_REASONS
         assert time.perf_counter() - start < 3.0
+
+
+# JSON values no setting admits, or only some do
+JSON_JUNK = (None, True, False, "1", "", [], {}, [1.0, 2.0], math.nan, math.inf, -math.inf, 0, -1, 0.5)
+FUZZ_BASE = default_config(1, k=2, trials=2).to_dict()
+
+
+def _nearby(value):
+    """Values of ``value``'s JSON type a config might plausibly hold instead."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.sampled_from([value, value + 1, 2 * value, value // 2, -value])
+    if isinstance(value, float):
+        return st.sampled_from([value, 2.0 * value, 0.5 * value, -value])
+    if value is None:
+        return st.sampled_from([None, -174.0, -120.0])
+    if isinstance(value, dict):
+        return st.sampled_from([value, {}])
+    return st.sampled_from([value, value[:1], value + value[:1], [[0.0, 40.0], [0, 40]]])
+
+
+def _setting(path):
+    """Strategy for the value at ``path`` of a config dict."""
+    if path == ("ranging",):
+        return st.sampled_from([None, {}, {"rho": 1.0}, [], 0])
+    if path == ("ofdm", "c0"):
+        return st.sampled_from([3e8, 300000000, 2.99792458e8])
+    if path in {("gn", "max_iters"), ("gn", "step_tol_m"), ("gn", "damping")}:
+        return st.sampled_from([100, 1e-10, 1e-3, 2.5])
+    value = FUZZ_BASE
+    for key in path:
+        value = value.get(key) if isinstance(value, dict) else None
+    # one draw in four is junk
+    return st.integers(0, 3).flatmap(lambda i: _nearby(value) if i else st.sampled_from(JSON_JUNK))
+
+
+FUZZ_PATHS = (
+    [(key,) for key in FUZZ_BASE]
+    + [(block, key) for block in ("ofdm", "gn") for key in FUZZ_BASE[block]]
+    + [("ranging",), ("ofdm", "c0"), ("gn", "max_iters"), ("gn", "step_tol_m"), ("gn", "damping")]
+    + [("tau",), ("ofdm", "tau")]
+)
+
+
+@st.composite
+def config_dicts(draw):
+    """The stock config dict with up to four settings changed or added."""
+    d = copy.deepcopy(FUZZ_BASE)
+    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), max_size=4, unique=True)):
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key] if isinstance(parent.get(key), dict) else {}
+        parent[path[-1]] = copy.deepcopy(draw(_setting(path)))
+    return d
+
+
+class TestConfigInputs:
+    """A config dict is rejected where it enters, or it runs cleanly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=config_dicts())
+    @example(d={**FUZZ_BASE, "ofdm": {**FUZZ_BASE["ofdm"], "tx_power_dbm": math.nan}})
+    @example(d={**FUZZ_BASE, "gn": {"residual_threshold": math.nan}})
+    def test_rejected_or_runs_without_warnings(self, d):
+        try:
+            cfg = ExperimentConfig.from_dict(d)
+        except ValueError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for skip_phase1 in (True, False):
+                outcomes = run_localization(replace(cfg, trials=2, skip_phase1=skip_phase1))
+                assert len(outcomes) == 2
 
 
 class TestScoring:
@@ -1084,6 +1225,33 @@ class TestCli:
             main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "tau_m must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("bs",), 5),
+            (("ofdm", "n_subcarriers"), "2048"),
+            (("ofdm", "n_taps"), 512.5),
+            (("ofdm", "subcarrier_spacing_hz"), math.nan),
+            (("ofdm", "tx_power_dbm"), math.nan),
+            (("ofdm", "noise_psd_dbm_hz"), math.inf),
+            (("ofdm", "irs_reflect_gain"), math.inf),
+            (("ofdm", "c0"), math.nan),
+            (("gn", "residual_threshold"), math.nan),
+            (("gn", "max_iters"), 2.5),
+            (("gn", "max_iters"), True),
+        ],
+        ids=repr,
+    )
+    def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, path, value):
+        d = default_config(1).to_dict()
+        (d[path[0]] if len(path) == 2 else d)[path[-1]] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main(["localize", "--config", str(cfg_path), "--trials", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"{path[-1]} " in capsys.readouterr().err
 
     def test_cardinality_n_irs_against_config(self, tmp_path, capsys):
         cfg_path = str(Path(__file__).parents[1] / "configs" / "single-irs-localize.json")

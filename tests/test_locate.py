@@ -15,6 +15,9 @@ from irsloc.association import (
 )
 from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS
 from irsloc.locate import (
+    GN_DAMPING,
+    GN_MAX_ITERS,
+    GN_STEP_TOL_M,
     GnConfig,
     LocEstimate,
     ResidualWeights,
@@ -70,10 +73,10 @@ def reference_fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     x = np.asarray(init, dtype=float).copy()
     r, jac = reference_residual_and_jacobian(x, triples)
     cost = float(r @ r)
-    lam = cfg.damping
+    lam = GN_DAMPING
     converged = False
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, GN_MAX_ITERS + 1):
         a = jac.T @ jac
         g = jac.T @ r
         step = None
@@ -94,7 +97,7 @@ def reference_fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
             lam *= 10.0
         if step is None:
             break
-        if math.hypot(step[0], step[1]) < cfg.step_tol_m:
+        if math.hypot(step[0], step[1]) < GN_STEP_TOL_M:
             converged = True
             break
     return LocEstimate(
@@ -323,9 +326,9 @@ class TestStartCertificate:
         assert certified > 0
 
     def test_margin_covers_max_iters_accepted_raises(self):
-        # start cost 1; the margin is max_iters * (1e-15 + 2**-52 * threshold)
+        # start cost 1; the margin is GN_MAX_ITERS * (1e-15 + 2**-52 * threshold)
         triples = [((0.0, 0.0), 1.0, 1.0)]
-        margin = 100 * (1e-15 + 2.0**-52)
+        margin = GN_MAX_ITERS * (1e-15 + 2.0**-52)
         assert not fit_stays_below(triples, GnConfig(residual_threshold=1.0 + 0.5 * margin), (0.0, 0.0))
         assert fit_stays_below(triples, GnConfig(residual_threshold=1.0 + 2.0 * margin), (0.0, 0.0))
 
@@ -431,7 +434,7 @@ class TestFitOracle:
         assert _damped_step(1e6, 1e6, 1e6, 1.0, 1.0, 1e-12) is None
 
     def test_rejected_step_under_tolerance_ends_the_fit(self, monkeypatch):
-        # this fit rejects damped steps shorter than step_tol_m more than
+        # this fit rejects damped steps shorter than GN_STEP_TOL_M more than
         # once in the reference; the first such rejection must end it
         scene, sets = quantized_scene_and_sets(2, 1, 1)
         t = ground_truth_solution(scene, sets, cell_m=0.75)[0]
@@ -452,7 +455,7 @@ class TestFitOracle:
         for i, (pos, cost_new) in enumerate(evaluated[1:], 1):
             if cost_new <= cost + 1e-15:
                 x, cost = pos, cost_new
-            elif math.hypot(*(pos - x)) < GN.step_tol_m:
+            elif math.hypot(*(pos - x)) < GN_STEP_TOL_M:
                 short_rejections.append(i)
         assert short_rejections == [len(evaluated) - 1]
         assert est.converged
