@@ -41,7 +41,7 @@ from .waveform import (
     C0,
     DelayWindowError,
     OfdmConfig,
-    build_paths,
+    channel_taps,
     make_pilots,
     make_plan,
     tap_domain_rx,
@@ -319,9 +319,8 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     pilot_seed, phase_seed_seq, noise1, noise2 = seed_seq.spawn(4)
     phase_seed = int(phase_seed_seq.generate_state(1)[0])
     pilots = make_pilots(make_plan(ofdm.n_subcarriers), pilot_seed)
-    second_paths = build_paths(scene, ofdm, symbol=2, phase_seed=phase_seed)
-    v1 = tap_domain_rx(second_paths.absorbing(), pilots, ofdm, seed=noise1)
-    v2 = tap_domain_rx(second_paths, pilots, ofdm, seed=noise2)
+    taps = channel_taps(scene, ofdm, phase_seed)
+    v1, v2 = tap_domain_rx(taps, pilots, ofdm, (noise1, noise2))
     known = irs_echo_bins(scene, ofdm)
     first = []
     second = []
@@ -376,7 +375,7 @@ def run_trial(
 
     if oracle:
         result = _oracle_result(
-            truth, lambda t: gauss_newton_solve(sets, t, scene, cfg.weights, cfg.gn), 1
+            truth, lambda t: gauss_newton_solve(sets, t, scene, cfg.weights), 1
         )
     else:
         result = localize(sets, scene, cfg.tau_m, cfg.weights, cfg.gn)
@@ -442,7 +441,7 @@ def _second_stage(cfg: ExperimentConfig, scene: Scene, sets: RangeSets):
         init = default_init(sets, t, scene)
         return (
             fit_stays_below(triples, gn, init)
-            or fit_position(triples, gn, init).residual < gn.residual_threshold
+            or fit_position(triples, init).residual < gn.residual_threshold
         )
 
     return fits
@@ -574,7 +573,7 @@ def run_baseline_trial(
     def fit(t) -> LocEstimate:
         radii = tuple(0.5 * ranges[a][t[a]] for a in range(3))
         triples = [(anchors[a], radii[a], sigma) for a in range(3)]
-        return fit_position(triples, cfg.gn, _baseline_init(anchors, radii))
+        return fit_position(triples, _baseline_init(anchors, radii))
 
     if oracle:
         result = _oracle_result(truth, fit, n_solutions)

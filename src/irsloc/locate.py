@@ -154,7 +154,7 @@ def _damped_step(a00, a01, a11, g0, g1, lam):
     return (a01 * g1 - b11 * g0) / det, (a01 * g0 - b00 * g1) / det
 
 
-def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
+def fit_position(triples, init) -> LocEstimate:
     """Damped Gauss-Newton fit of circle constraints from ``init``.
 
     A singular damped system raises λ tenfold, as a rejected step does.  A
@@ -202,7 +202,7 @@ def fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
 
 
 def fit_stays_below(triples, cfg: GnConfig, init) -> bool:
-    """True when ``fit_position(triples, cfg, init)`` must end below the threshold.
+    """True when ``fit_position(triples, init)`` must end below the threshold.
 
     An accepted step raises the cost by at most 1e-15 plus the rounding of
     that sum, below ``2**-52`` of the threshold while the cost is under it, and
@@ -246,7 +246,7 @@ def _cost_lower_bound(triples) -> float:
 
 
 def fit_must_exceed(triples, cfg: GnConfig) -> bool:
-    """True when ``fit_position(triples, cfg, init)`` must end at or above the
+    """True when ``fit_position(triples, init)`` must end at or above the
     threshold ``T`` from any ``init``: the mirror of ``fit_stays_below``.
 
     ``_cost_lower_bound`` holds for the exact cost everywhere.  Where a
@@ -298,11 +298,10 @@ def gauss_newton_solve(
     t: AssociationTuple,
     scene: Scene,
     w: ResidualWeights,
-    cfg: GnConfig,
 ) -> LocEstimate:
     """Fit one tuple's position from ``default_init``."""
     triples = _constraints(sets, t, scene, w)
-    return fit_position(triples, cfg, default_init(sets, t, scene))
+    return fit_position(triples, default_init(sets, t, scene))
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,7 @@ def _select(picks, sets: RangeSets, scene: Scene, w: ResidualWeights, cfg: GnCon
     count = completion_counts(picks)
 
     def fit(t):
-        return gauss_newton_solve(sets, t, scene, w, cfg)
+        return gauss_newton_solve(sets, t, scene, w)
 
     return lexmin_select(
         picks, fit, cfg.residual_threshold, count(0)[0], live=lambda used: count(used)[0]

@@ -22,9 +22,10 @@ Johnstone 1994).  ``A'y`` is one length-N inverse FFT of the
 pilot-compensated samples scattered onto the comb.
 
 Experiments never form ``y``: ``waveform.tap_domain_rx`` gives the
-matched-filter vector ``h + A'z / (p * N/2)`` straight from the taps and the
-noise draws, and ``shrink`` thresholds it.  ``lasso_solve`` and
-``weighted_lasso_solve`` take that vector from synthesized samples
+matched-filter vectors ``h + A'z / (p * N/2)`` of both symbols and both BSs
+straight from ``waveform.channel_taps``' arrays and the noise draws, and
+``shrink`` thresholds each.  ``lasso_solve`` and ``weighted_lasso_solve``
+take that vector from samples synthesized from ``waveform.build_paths``
 (``waveform.simulate_freq_rx``) instead; they are the reference chain the
 acceptance tests and the benchmark's traced rebuild run.
 """

@@ -12,9 +12,11 @@ exact (``c_n`` is the 1-based subcarrier index).  ``simulate_freq_rx``
 implements that model directly; the time-domain modulate/convolve/demodulate
 chain is equivalent sample for sample and serves as its reference.
 
-Experiments never synthesize ``y``: recovery reads only each comb's matched
-filter, which is the taps plus matched-filtered noise (``tap_domain_rx``).
-The dense synthesis draws the same noise and stays as its reference.
+Experiments never synthesize ``y`` and never build ``PathTap`` lists:
+``channel_taps`` gives both symbols' tap vectors as arrays, and recovery reads
+only each comb's matched filter, the taps plus matched-filtered noise
+(``tap_domain_rx``).  ``build_paths``, with one phase generator per path, and
+the dense synthesis, with the same noise, stay as their references.
 
 Echo kinds, named for the receiver ``m`` (transmitter is also ``m``):
 
@@ -51,6 +53,15 @@ C0 = 3.0e8  # speed of light, m/s
 
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
+
+
+# derived quantities that must be finite and positive, and their settings
+_DERIVED = (
+    ("tx_power_w", "tx_power_dbm"),
+    ("subcarrier_power_w", "tx_power_dbm and n_subcarriers"),
+    ("noise_var", "noise_psd_dbm_hz and subcarrier_spacing_hz"),
+    ("cell_m", "n_subcarriers and subcarrier_spacing_hz"),
+)
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,17 @@ class OfdmConfig:
             )
         if self.bs_reflect_gain <= 0 or self.irs_reflect_gain <= 0:
             raise ValueError("reflection gains must be positive")
+        for name, settings in _DERIVED:
+            try:
+                value = getattr(self, name)
+            except OverflowError:
+                value = math.inf
+            unset = name == "noise_var" and self.noise_psd_dbm_hz is None
+            if not (0.0 < value < math.inf or unset):
+                raise ValueError(f"{settings} must give a finite positive {name}, not {value}")
+        sigma = self.cell_m / (2.0 * math.sqrt(3.0))  # as in ResidualWeights.from_cell
+        if sigma * sigma == 0.0 or math.isinf(1.0 / (sigma * sigma)):
+            raise ValueError("n_subcarriers and subcarrier_spacing_hz overflow the fit weights")
 
     @property
     def bandwidth_hz(self) -> float:
@@ -175,17 +197,6 @@ class PathList:
     def for_bs(self, m: int) -> tuple[PathTap, ...]:
         return self.taps[m]
 
-    def absorbing(self) -> "PathList":
-        """The first-symbol list: only the direct target echoes.
-
-        ``build_paths`` lists them first for every symbol, with phases keyed
-        by path identity, so this equals ``build_paths(..., symbol=1)``.
-        """
-        taps = tuple(
-            tuple(t for t in per_bs if t.link is LinkType.TARGET_ECHO) for per_bs in self.taps
-        )
-        return PathList(symbol=1, taps=(taps[0], taps[1]))
-
 
 def _path_phase(phase_seed: int, *key: int) -> float:
     """Stable uniform phase for one propagation path.
@@ -197,29 +208,71 @@ def _path_phase(phase_seed: int, *key: int) -> float:
     return float(np.random.default_rng(entropy).uniform(0.0, 2.0 * math.pi))
 
 
-def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0) -> PathList:
-    """Geometry to tap list for one pilot symbol.
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier words of ``n`` successive SeedSequence hashes, as columns."""
+    xor = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(n)], dtype=np.uint32)
+    return xor[:, None], xor[:, None] * np.uint32(mult)
 
-    Symbol 1 models absorbing IRSs (target echoes only); symbol 2 and later
-    add the static IRS reflections and the compound target-via-IRS echoes.
-    Raises DelayWindowError when any modeled path exceeds the tap window.
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# NumPy's SeedSequence on a 4-word pool: 4 fills and 12 cross mixes, then
+# 8 output words (NEP 19 fixes these streams)
+_XOR_A, _MUL_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_XOR_B, _MUL_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _SHIFT)
+
+
+def path_phases(phase_seed: int, keys) -> list[float]:
+    """``[_path_phase(phase_seed, *key) for key in keys]`` for 3-int keys, bit for bit.
+
+    Runs SeedSequence's mixing over every key's 4-word entropy at once as
+    ``uint32`` arrays, then PCG64's seeding and first ``next_double`` on
+    Python ints, instead of one ``default_rng`` per key.
     """
-    if symbol < 1:
-        raise ValueError("symbol index is 1-based")
-    per_bs: list[tuple[PathTap, ...]] = []
-    for m, (bs_pos, d_bi) in enumerate(zip(scene.bs, _layout_constants(scene.bs, scene.irs)[1])):
-        taps: list[PathTap] = []
+    words = [(phase_seed & _MASK32, *(k & _MASK32 for k in key)) for key in keys]
+    pool = _hashmix(np.array(words, dtype=np.uint32).reshape(-1, 4).T, _XOR_A[:4], _MUL_A[:4])
+    for s in range(4):
+        rest = [d for d in range(4) if d != s]
+        hashed = _hashmix(pool[s], _XOR_A[4 + 3 * s : 7 + 3 * s], _MUL_A[4 + 3 * s : 7 + 3 * s])
+        mixed = _MIX_L * pool[rest] - _MIX_R * hashed
+        pool[rest] = mixed ^ (mixed >> _SHIFT)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _XOR_B, _MUL_B).astype(np.uint64)
+    phases = []
+    for s0, s1, s2, s3 in (state[0::2] | state[1::2] << np.uint64(32)).T.tolist():
+        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        x = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) * _PCG_MULT + inc & _MASK128
+        rot = x >> 122
+        x = ((x >> 64) ^ x) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        phases.append(0.0 + 2.0 * math.pi * ((x >> 11) * 2.0**-53))
+    return phases
 
-        def add(length_m, link, key, *legs):
-            l = delay_cell(length_m, cfg.cell_m)
+
+def _echoes(scene: Scene, cfg: OfdmConfig, symbol: int):
+    """Yield each modeled echo of one pilot symbol as ``(bs, delay, link, key, amplitude)``.
+
+    Per receiving BS: the direct target echoes, then from symbol 2 on the
+    static IRS echoes and the compound ones.  ``key`` names the path for
+    ``_path_phase``.  Raises DelayWindowError when an echo exceeds the tap
+    window and ValueError when a target sits on a BS or on its IRS.
+    """
+    cell = cfg.cell_m
+    for m, (bs_pos, d_bi) in enumerate(zip(scene.bs, _layout_constants(scene.bs, scene.irs)[1])):
+
+        def echo(length_m, link, key, *legs):
+            l = delay_cell(length_m, cell)
             if l >= cfg.n_taps:
                 raise DelayWindowError(
                     f"{link.value} path of {length_m:.2f} m needs tap {l}, "
                     f"window is {cfg.n_taps}"
                 )
-            phase = _path_phase(phase_seed, m, *key)
-            gain = echo_gain(cfg, link, *legs) * complex(math.cos(phase), math.sin(phase))
-            taps.append(PathTap(delay=l, gain=gain, link=link, bs=m))
+            return m, l, link, key, echo_gain(cfg, link, *legs)
 
         compound = []
         for k, (t, r) in enumerate(zip(scene.targets, scene.true_irs)):
@@ -228,17 +281,52 @@ def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0)
             d_bt = 0.5 * direct
             if d_bt <= 0:
                 raise ValueError(f"target {k} coincides with BS {m}")
-            add(direct, LinkType.TARGET_ECHO, (1, k), d_bt, d_bt)
+            yield echo(direct, LinkType.TARGET_ECHO, (1, k), d_bt, d_bt)
             compound.append((k, r, via, d_bt, d_it))
         if symbol >= 2:
             for r, d in enumerate(d_bi):
-                add(2.0 * d, LinkType.IRS_ECHO, (2, r), d, d)
+                yield echo(2.0 * d, LinkType.IRS_ECHO, (2, r), d, d)
             for k, r, via, d_bt, d_it in compound:
                 if d_it <= 0:
                     raise ValueError(f"target {k} coincides with IRS {r}")
-                add(via, LinkType.TARGET_VIA_IRS, (3, k), d_bt, d_it, d_bi[r])
-        per_bs.append(tuple(taps))
-    return PathList(symbol=symbol, taps=(per_bs[0], per_bs[1]))
+                yield echo(via, LinkType.TARGET_VIA_IRS, (3, k), d_bt, d_it, d_bi[r])
+
+
+def build_paths(scene: Scene, cfg: OfdmConfig, symbol: int, phase_seed: int = 0) -> PathList:
+    """Geometry to tap list for one pilot symbol.
+
+    Symbol 1 models absorbing IRSs (target echoes only); symbol 2 and later
+    add the static IRS reflections and the compound target-via-IRS echoes.
+    Raises DelayWindowError when any modeled path exceeds the tap window.
+    Each path's phase comes from its own ``_path_phase`` generator; this is
+    the reference that ``channel_taps`` matches bit for bit.
+    """
+    if symbol < 1:
+        raise ValueError("symbol index is 1-based")
+    per_bs: tuple[list[PathTap], list[PathTap]] = ([], [])
+    for m, l, link, key, amp in _echoes(scene, cfg, symbol):
+        phase = _path_phase(phase_seed, m, *key)
+        gain = amp * complex(math.cos(phase), math.sin(phase))
+        per_bs[m].append(PathTap(delay=l, gain=gain, link=link, bs=m))
+    return PathList(symbol=symbol, taps=(tuple(per_bs[0]), tuple(per_bs[1])))
+
+
+def channel_taps(scene: Scene, cfg: OfdmConfig, phase_seed: int) -> np.ndarray:
+    """Both pilot symbols' tap vectors as one ``(2, 2, L)`` array.
+
+    Entry ``[s - 1, m]`` equals ``channel_vector(build_paths(scene, cfg, s,
+    phase_seed).for_bs(m), L)`` exactly: the same echoes, with the phases of
+    one ``path_phases`` pass.  Symbol 1 holds only the direct target echoes.
+    """
+    echoes = list(_echoes(scene, cfg, 2))
+    phases = path_phases(phase_seed, [(m, *key) for m, _, _, key, _ in echoes])
+    h = np.zeros((2, 2, cfg.n_taps), dtype=complex)
+    for (m, l, link, _, amp), phase in zip(echoes, phases):
+        gain = amp * complex(math.cos(phase), math.sin(phase))
+        if link is LinkType.TARGET_ECHO:
+            h[0, m, l] += gain
+        h[1, m, l] += gain
+    return h
 
 
 def channel_vector(taps, n_taps: int) -> np.ndarray:
@@ -355,30 +443,33 @@ def matched_filter(values: np.ndarray, m: int, p: float, cfg: OfdmConfig) -> np.
 
 
 def tap_domain_rx(
-    paths: PathList,
+    taps: np.ndarray,
     pilots: tuple[np.ndarray, np.ndarray],
     cfg: OfdmConfig,
-    seed=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-BS matched-filter vectors of ``simulate_freq_rx``'s samples.
+    seeds=(None, None),
+) -> np.ndarray:
+    """Both symbols' per-BS matched-filter vectors of ``simulate_freq_rx``'s samples.
 
-    On the interleaved comb with unit-modulus pilots ``A'A = p * N/2 * I``,
-    so ``A'y / (p * N/2) = h + A'z / (p * N/2)``: the tap vector plus the
-    matched filter of the same noise ``z`` that ``simulate_freq_rx`` draws
-    for ``seed``.  No frequency sample is synthesized.
+    ``taps`` is ``channel_taps``' ``(2, 2, L)`` array and ``seeds`` holds
+    each symbol's noise seed.  On the interleaved comb with unit-modulus
+    pilots ``A'A = p * N/2 * I``, so ``A'y / (p * N/2) = h + A'z / (p * N/2)``:
+    the taps plus the matched filter of the same noise ``z`` that
+    ``simulate_freq_rx`` draws for each seed.  BS ``m``'s comb holds the
+    0-based bins ``m, m + 2, ...``, so ``matched_filter``'s length-N inverse
+    DFT is half the length-N/2 one of the comb's values times
+    ``exp(2j*pi*m*l/N)``: one batched transform forms all four vectors.  No
+    frequency sample is synthesized.
     """
-    p = cfg.subcarrier_power_w
-    noise = _comb_noise(cfg, seed)
-    out = []
+    half = cfg.n_subcarriers // 2
     for m in (0, 1):
-        s = np.asarray(pilots[m], dtype=complex)
-        if s.shape != (cfg.n_subcarriers // 2,):
+        if np.shape(pilots[m]) != (half,):
             raise ValueError(f"pilots for BS {m + 1} do not match N/2 subcarriers")
-        v = channel_vector(paths.for_bs(m), cfg.n_taps)
-        if noise is not None:
-            v = v + matched_filter(s.conj() * noise[m], m, p, cfg)
-        out.append(v)
-    return out[0], out[1]
+    noise = [_comb_noise(cfg, seed) for seed in seeds]
+    if noise[0] is None:
+        return np.array(taps)
+    mf = np.fft.ifft(np.conj(pilots) * np.array(noise))[..., : cfg.n_taps]
+    mf[:, 1] *= _twiddles(cfg.n_subcarriers)[: cfg.n_taps].conj()
+    return taps + mf / math.sqrt(cfg.subcarrier_power_w)
 
 
 def simulate_freq_rx(

@@ -249,7 +249,7 @@ def test_criterion_7_numerical_oracles():
                 break
             instance += 1
             target = scene.targets[order[rank]]
-            est = gauss_newton_solve(sets, t, scene, w, gn)
+            est = gauss_newton_solve(sets, t, scene, w)
             span = np.arange(-1.0, 1.0 + 1e-12, 0.01)
             xs = target.x + span
             ys = target.y + span

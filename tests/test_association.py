@@ -564,7 +564,7 @@ class TestFeasibleCounts:
             sets,
             scene,
             tau=1.5,
-            keep=lambda t: gauss_newton_solve(sets, t, scene, w, cfg).residual < threshold,
+            keep=lambda t: gauss_newton_solve(sets, t, scene, w).residual < threshold,
         )
         feasible = enumerate_feasible(sets, scene, tau=1.5)
         stats = select_association(feasible, sets, scene, w, cfg).stats
@@ -604,7 +604,7 @@ class TestFeasibleCounts:
         else:
             w, cfg = ResidualWeights.from_cell(0.75), GnConfig()
             keep = lambda t: (  # noqa: E731
-                gauss_newton_solve(sets, t, scene, w, cfg).residual < cfg.residual_threshold
+                gauss_newton_solve(sets, t, scene, w).residual < cfg.residual_threshold
             )
         if order is None:  # fewest picks first
             order = sorted(range(k), key=lambda i: len(picks[i]))

@@ -577,6 +577,11 @@ class TestConfigInputs:
     @given(d=config_dicts())
     @example(d={**FUZZ_BASE, "ofdm": {**FUZZ_BASE["ofdm"], "tx_power_dbm": math.nan}})
     @example(d={**FUZZ_BASE, "gn": {"residual_threshold": math.nan}})
+    # finite settings whose link budget overflows or underflows
+    @example(d={**FUZZ_BASE, "ofdm": {**FUZZ_BASE["ofdm"], "tx_power_dbm": 10000.0}})
+    @example(d={**FUZZ_BASE, "ofdm": {**FUZZ_BASE["ofdm"], "noise_psd_dbm_hz": 10000.0}})
+    @example(d={**FUZZ_BASE, "ofdm": {**FUZZ_BASE["ofdm"], "tx_power_dbm": -10000.0}})
+    @example(d={**FUZZ_BASE, "ofdm": {**FUZZ_BASE["ofdm"], "subcarrier_spacing_hz": 1e300}})
     def test_rejected_or_runs_without_warnings(self, d):
         try:
             cfg = ExperimentConfig.from_dict(d)
@@ -982,7 +987,7 @@ def reference_baseline_trial(cfg, trial, seed_seq, oracle=False):
             triples = [
                 (anchors[a], radii[a], w.sigma_direct) for a in range(3)
             ]
-            cache[t] = fit_position(triples, cfg.gn, _baseline_init(anchors, radii))
+            cache[t] = fit_position(triples, _baseline_init(anchors, radii))
         return cache[t]
 
     if oracle:

@@ -63,7 +63,7 @@ def reference_residual_and_jacobian(pos: np.ndarray, triples):
     return r, jac
 
 
-def reference_fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
+def reference_fit_position(triples, init) -> LocEstimate:
     """Damped Gauss-Newton fit with a row loop and ``np.linalg.solve``.
 
     The reference for ``fit_position``: same damping schedule, acceptance
@@ -108,9 +108,9 @@ def reference_fit_position(triples, cfg: GnConfig, init) -> LocEstimate:
     )
 
 
-def reference_gauss_newton_solve(sets, t, scene, w, cfg):
+def reference_gauss_newton_solve(sets, t, scene, w):
     triples = _constraints(sets, t, scene, w)
-    return reference_fit_position(triples, cfg, default_init(sets, t, scene))
+    return reference_fit_position(triples, default_init(sets, t, scene))
 
 
 def reference_select(feasible, sets, scene, w, cfg, fit=gauss_newton_solve):
@@ -124,7 +124,7 @@ def reference_select(feasible, sets, scene, w, cfg, fit=gauss_newton_solve):
     """
 
     def solve(t):
-        return fit(sets, t, scene, w, cfg)
+        return fit(sets, t, scene, w)
 
     ordered = sorted(feasible.solutions)
     bad = set()
@@ -227,7 +227,7 @@ class TestFit:
                 range(3), key=lambda i: distance(scene.bs[0], scene.targets[i])
             )
             for rank, t in enumerate(truth):
-                est = gauss_newton_solve(sets, t, scene, W, GN)
+                est = gauss_newton_solve(sets, t, scene, W)
                 target = scene.targets[order[rank]]
                 assert est.converged
                 assert distance(est.position, target) < 1e-7
@@ -241,7 +241,7 @@ class TestFit:
         order = sorted(range(2), key=lambda i: distance(scene.bs[0], scene.targets[i]))
         for rank, t in enumerate(truth):
             target = scene.targets[order[rank]]
-            est = gauss_newton_solve(sets, t, scene, W, GN)
+            est = gauss_newton_solve(sets, t, scene, W)
 
             def objective(p):
                 r = residual_terms(p, sets, t, scene, W)
@@ -267,7 +267,7 @@ class TestFit:
                 range(4), key=lambda i: distance(scene.bs[0], scene.targets[i])
             )
             for rank, t in enumerate(truth):
-                est = gauss_newton_solve(sets, t, scene, W, GN)
+                est = gauss_newton_solve(sets, t, scene, W)
                 target = scene.targets[order[rank]]
                 assert distance(est.position, target) < 0.75
 
@@ -281,7 +281,7 @@ class TestFit:
     def test_fit_handles_far_init(self):
         scene, sets = scene_and_sets(IRS1, 1, seed=7)
         t = ground_truth_solution(scene, sets)[0]
-        est = fit_position(_constraints(sets, t, scene, W), GN, Point2D(0.0, -200.0))
+        est = fit_position(_constraints(sets, t, scene, W), Point2D(0.0, -200.0))
         # may land on the mirror optimum, but must converge somewhere finite
         assert est.converged
         assert math.isfinite(est.residual)
@@ -322,7 +322,7 @@ class TestStartCertificate:
                     init = default_init(sets, t, scene)
                     if fit_stays_below(triples, GN, init):
                         certified += 1
-                        assert fit_position(triples, GN, init).residual < GN.residual_threshold
+                        assert fit_position(triples, init).residual < GN.residual_threshold
         assert certified > 0
 
     def test_margin_covers_max_iters_accepted_raises(self):
@@ -354,7 +354,7 @@ class TestLowerBoundCertificate:
             bound = _cost_lower_bound(triples)
             start = default_init(sets, t, scene)
             for init in [start] + [(start.x + dx, start.y + dy) for dx, dy in offsets]:
-                ref = reference_fit_position(triples, GN, init)
+                ref = reference_fit_position(triples, init)
                 assert bound <= ref.residual * (1.0 + 1e-12) + 1e-12
                 # a threshold just above the fit's cost must not be certified
                 above = GnConfig(residual_threshold=float(np.nextafter(ref.residual, math.inf)))
@@ -372,7 +372,7 @@ class TestLowerBoundCertificate:
                 triples = _constraints(sets, t, scene, w)
                 if fit_must_exceed(triples, GN):
                     certified += 1
-                    est = fit_position(triples, GN, default_init(sets, t, scene))
+                    est = fit_position(triples, default_init(sets, t, scene))
                     assert est.residual >= GN.residual_threshold
         assert certified > 0
 
@@ -384,7 +384,7 @@ class TestLowerBoundCertificate:
         triples = [((0.0, 0.0), 5.0, 1.0), ((0.0, 0.0), 5.0, 1.0)]
         triples += [((0.0, 0.0), 3.0, 0.5), ((0.0, 0.0), 1.0, 0.5)]
         assert _cost_lower_bound(triples) == pytest.approx(16.0, rel=1e-15)
-        assert fit_position(triples, GN, (2.0, 0.0)).residual == pytest.approx(22.4)
+        assert fit_position(triples, (2.0, 0.0)).residual == pytest.approx(22.4)
         assert fit_must_exceed(triples, GnConfig(residual_threshold=15.99))
         assert not fit_must_exceed(triples, GnConfig(residual_threshold=16.0))
 
@@ -449,7 +449,7 @@ class TestFitOracle:
             return r, jac
 
         monkeypatch.setattr(locate, "_evaluate", recording)
-        est = fit_position(triples, GN, init)
+        est = fit_position(triples, init)
         x, cost = evaluated[0]
         short_rejections = []
         for i, (pos, cost_new) in enumerate(evaluated[1:], 1):
@@ -460,7 +460,7 @@ class TestFitOracle:
         assert short_rejections == [len(evaluated) - 1]
         assert est.converged
         assert est.residual == cost
-        ref = reference_fit_position(triples, GN, init)
+        ref = reference_fit_position(triples, init)
         assert distance(est.position, ref.position) <= 1e-9
 
     def test_init_on_an_anchor(self):
@@ -472,8 +472,8 @@ class TestFitOracle:
             _, jac = _residual_and_jacobian(np.array(anchor), triples)
             assert np.all(np.isfinite(jac))
             assert_fit_matches(
-                fit_position(triples, GN, anchor),
-                reference_fit_position(triples, GN, anchor),
+                fit_position(triples, anchor),
+                reference_fit_position(triples, anchor),
                 GN.residual_threshold,
             )
 
@@ -495,8 +495,8 @@ class TestFitOracle:
             inits = [start] + [(start.x + dx, start.y + dy) for dx, dy in offsets]
             for init in inits:
                 assert_fit_matches(
-                    fit_position(triples, GN, init),
-                    reference_fit_position(triples, GN, init),
+                    fit_position(triples, init),
+                    reference_fit_position(triples, init),
                     GN.residual_threshold,
                 )
 
@@ -684,7 +684,7 @@ class TestSelection:
 
             def total(sol):
                 return sum(
-                    gauss_newton_solve(sets, t, scene, W, GN).residual for t in sol
+                    gauss_newton_solve(sets, t, scene, W).residual for t in sol
                 )
 
             best = min(sorted(feas.solutions), key=total)
@@ -743,9 +743,9 @@ class TestSelection:
     def test_cache_counts_calls(self, monkeypatch):
         calls = []
 
-        def counting_solve(sets, t, scene, w, cfg):
+        def counting_solve(sets, t, scene, w):
             calls.append(t)
-            return gauss_newton_solve(sets, t, scene, w, cfg)
+            return gauss_newton_solve(sets, t, scene, w)
 
         monkeypatch.setattr(locate, "gauss_newton_solve", counting_solve)
         scene, sets = scene_and_sets(IRS1, 4, seed=7, cell_m=0.75)

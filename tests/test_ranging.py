@@ -28,6 +28,7 @@ from irsloc.waveform import (
     BsSnapshot,
     OfdmConfig,
     build_paths,
+    channel_taps,
     channel_vector,
     make_pilots,
     make_plan,
@@ -356,18 +357,20 @@ class TestTapDomain:
             rcfg = RangingConfig.calibrated(cfg, scene, radius)
             pilots = make_pilots(plan, 40 + i)
             known = irs_echo_bins(scene, cfg)
-            second = build_paths(scene, cfg, symbol=2, phase_seed=7 + i)
+            noise_seeds = np.random.SeedSequence(i).spawn(2)
+            fast = tap_domain_rx(channel_taps(scene, cfg, 7 + i), pilots, cfg, noise_seeds)
+            assert fast.shape == (2, 2, cfg.n_taps)
             first_support = {}
-            for symbol, paths in ((1, second.absorbing()), (2, second)):
-                noise_seed = np.random.SeedSequence(i).spawn(2)[symbol - 1]
-                snap = simulate_freq_rx(paths, pilots, cfg, plan, seed=noise_seed)
-                fast = tap_domain_rx(paths, pilots, cfg, seed=noise_seed)
+            for symbol in (1, 2):
+                paths = build_paths(scene, cfg, symbol, phase_seed=7 + i)
+                snap = simulate_freq_rx(paths, pilots, cfg, plan, seed=noise_seeds[symbol - 1])
                 for m in (0, 1):
+                    got = fast[symbol - 1, m]
                     ref = _matched_filter(snap.by_bs[m], cfg)
-                    assert np.max(np.abs(fast[m] - ref)) <= 1e-12 * np.max(np.abs(ref))
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
                     if symbol == 1:
                         est_ref = lasso_solve(snap.by_bs[m], cfg, rcfg)
-                        est = shrink(fast[m], penalties(rcfg, cfg.n_taps), cfg)
+                        est = shrink(got, penalties(rcfg, cfg.n_taps), cfg)
                         delta = rcfg.delta1
                         first_support[m] = detect_support(est_ref, delta)
                     else:
@@ -375,24 +378,17 @@ class TestTapDomain:
                             snap.by_bs[m], known[m], first_support[m], cfg, rcfg
                         )
                         est = shrink(
-                            fast[m], penalties(rcfg, cfg.n_taps, known[m] | first_support[m]), cfg
+                            got, penalties(rcfg, cfg.n_taps, known[m] | first_support[m]), cfg
                         )
                         delta = rcfg.delta2
                     assert detect_support(est, delta) == detect_support(est_ref, delta)
                     assert detect_support(est, delta), "every case has echoes to detect"
 
-    @pytest.mark.parametrize("case", TAP_DOMAIN_CASES)
-    def test_absorbing_is_the_first_symbol(self, case):
-        cfg, scenes, _ = TAP_DOMAIN_CASES[case]
-        for scene in scenes:
-            first = build_paths(scene, cfg, symbol=1, phase_seed=11)
-            assert build_paths(scene, cfg, symbol=2, phase_seed=11).absorbing() == first
-
     def test_pilots_for_another_n_raise(self):
         cfg, scenes, _ = TAP_DOMAIN_CASES["n64"]
-        paths = build_paths(scenes[0], cfg, symbol=2)
+        taps = channel_taps(scenes[0], cfg, 0)
         with pytest.raises(ValueError, match="pilots"):
-            tap_domain_rx(paths, make_pilots(make_plan(128), 0), cfg)
+            tap_domain_rx(taps, make_pilots(make_plan(128), 0), cfg)
 
 
 class TestDetection:

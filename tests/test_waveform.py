@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import reference_steering_matrix
 
+from irsloc import harness, waveform
 from irsloc.harness import default_config, run_trial, topology_experiment
 from irsloc.scene import Point2D, Scene, delay_cell, distance, sample_targets
 from irsloc.waveform import (
@@ -15,13 +18,16 @@ from irsloc.waveform import (
     PathList,
     PathTap,
     SubcarrierPlan,
+    _path_phase,
     build_paths,
+    channel_taps,
     channel_vector,
     dbm_to_watts,
     make_pilots,
     make_plan,
     ofdm_demodulate,
     ofdm_modulate,
+    path_phases,
     simulate_freq_rx,
     steering_matrix,
 )
@@ -83,6 +89,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             OfdmConfig(n_taps=2048)  # aliases on the half-length comb
         OfdmConfig(cp_len=640, n_taps=640)  # widened window still legal
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tx_power_dbm", 10000.0),  # 10 ** 1000 overflows
+            ("tx_power_dbm", -10000.0),  # the power underflows to 0
+            ("noise_psd_dbm_hz", 10000.0),
+            ("noise_psd_dbm_hz", -10000.0),
+            ("subcarrier_spacing_hz", 1e300),  # the fit's weights 1/sigma**2 overflow
+            ("n_subcarriers", 2**1100),  # too large for a float bandwidth
+        ],
+        ids=repr,
+    )
+    def test_link_budget_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            OfdmConfig(**{key: value})
 
 
 class TestPlan:
@@ -230,6 +252,95 @@ class TestPaths:
     def test_symbol_must_be_positive(self):
         with pytest.raises(ValueError):
             build_paths(one_target_scene(), OfdmConfig(), symbol=0)
+
+
+KEY_WORDS = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
+
+
+class TestPathPhases:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        phase_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
+        keys=st.lists(st.tuples(KEY_WORDS, KEY_WORDS, KEY_WORDS), max_size=30),
+    )
+    @example(phase_seed=0, keys=[(0, 1, 0), (1, 3, 2**32 - 1)])
+    @example(phase_seed=2**32 - 1, keys=[(0, 0, 0), (2**32 - 1,) * 3])
+    @example(phase_seed=2**32 + 5, keys=[(1, 2, 2**33 + 1), (1, 2, 1)])  # masked to 5 and 1
+    def test_equals_one_generator_per_path(self, phase_seed, keys):
+        assert path_phases(phase_seed, keys) == [_path_phase(phase_seed, *k) for k in keys]
+
+
+def _channel_taps_cases():
+    """name: (ofdm config, scenes): the three stock layouts at K=4 and N = 64."""
+    cases = {}
+    for n_irs in (1, 2, 3):
+        cfg = default_config(n_irs)
+        cases[f"r{n_irs}"] = (
+            cfg.ofdm,
+            [
+                sample_targets(cfg.bs, cfg.irs, 4, cfg.target_radius_m, s, cell_m=cfg.ofdm.cell_m)
+                for s in (3, 8, 2029)
+            ],
+        )
+    # desk-sized layouts whose compound echoes fit 32 taps of a 400 MHz grid
+    small = OfdmConfig(n_subcarriers=64, subcarrier_spacing_hz=6.25e6, cp_len=32, n_taps=32)
+    desk = [
+        Scene(bs=SMALL_BS, irs=(Point2D(0.0, 6.0),), targets=targets, true_irs=(0,) * len(targets))
+        for targets in ((Point2D(1.0, 6.0), Point2D(-1.5, 5.0)), (Point2D(0.5, 5.5),))
+    ]
+    cases["n64"] = (small, desk)
+    return cases
+
+
+CHANNEL_TAPS_CASES = _channel_taps_cases()
+
+
+class TestChannelTaps:
+    """``channel_taps`` is the tap vector of ``build_paths``' list, bit for bit."""
+
+    @pytest.mark.parametrize("symbol", [1, 2])
+    @pytest.mark.parametrize("case", CHANNEL_TAPS_CASES)
+    def test_equals_channel_vector_of_build_paths(self, case, symbol):
+        cfg, scenes = CHANNEL_TAPS_CASES[case]
+        for scene in scenes:
+            for phase_seed in (0, 11, 2**32 + 11):
+                taps = channel_taps(scene, cfg, phase_seed)
+                paths = build_paths(scene, cfg, symbol, phase_seed)
+                for m in (0, 1):
+                    want = channel_vector(paths.for_bs(m), cfg.n_taps)
+                    np.testing.assert_array_equal(taps[symbol - 1, m], want)
+
+    @pytest.mark.parametrize("case", CHANNEL_TAPS_CASES)
+    def test_window_overflow_raises_where_build_paths_does(self, case):
+        cfg, scenes = CHANNEL_TAPS_CASES[case]
+        for scene in scenes:
+            paths = build_paths(scene, cfg, symbol=2)
+            last = max(tap.delay for m in (0, 1) for tap in paths.for_bs(m))
+            channel_taps(scene, replace(cfg, n_taps=last + 1), 0)
+            for n_taps in (last, last // 2):
+                small = replace(cfg, n_taps=n_taps)
+                with pytest.raises(DelayWindowError):
+                    build_paths(scene, small, symbol=2)
+                with pytest.raises(DelayWindowError):
+                    channel_taps(scene, small, 0)
+
+    # experiments build tap arrays and never a per-path generator or tap list
+    @pytest.fixture
+    def no_tap_lists(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-path reference ran")
+
+        monkeypatch.setattr(waveform, "_path_phase", refuse)
+        for module in (waveform, harness):
+            monkeypatch.setattr(module, "build_paths", refuse, raising=False)
+
+    def test_one_waveform_trial_builds_no_tap_list(self, no_tap_lists):
+        cfg = default_config(3, k=4, trials=1, seed=1, skip_phase1=False)
+        outcome = run_trial(cfg, 0, np.random.SeedSequence(1).spawn(1)[0])
+        assert outcome.failure is None
+
+    def test_topology_experiment_builds_no_tap_list(self, no_tap_lists):
+        topology_experiment(default_config(1, k=2, trials=2, skip_phase1=False))
 
 
 class TestChannelVector:

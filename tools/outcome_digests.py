@@ -5,9 +5,11 @@ run's name to the SHA-256 digest of its outputs:
 
 * every ``TrialOutcome`` field but ``wall_time_s`` of ``run_localization``
   (quantized geometry at K=4 with one and two surfaces and at K=6 with one,
-  the waveform path at K=4 with three, and the oracle mode) and of
-  ``baseline_3bs`` (K 2-8, oracle and forced fallback for K 2-6), each at
-  seeds 1 and 2029;
+  the oracle mode, and the waveform path at K=4: with three surfaces, with
+  one and with two, with three and noise off, and with one at 24 dBm, where
+  about half the trials end ``unbalanced`` because detection sits near its
+  threshold) and of ``baseline_3bs`` (K 2-8, oracle and forced fallback for
+  K 2-6), each at seeds 1 and 2029;
 * the ``cardinality_experiment`` rows for one surface, K 2-6, and, at
   seeds 1 and 2029, for two surfaces, K 2-6, and three, K 2-8 (25 scenes
   each);
@@ -39,13 +41,17 @@ from irsloc.locate import GnConfig
 
 SEEDS = (1, 2029)
 FORCED_FALLBACK = GnConfig(residual_threshold=1e-12)
-# name: (surfaces, K, trials, skip_phase1, oracle)
+# name: (surfaces, K, trials, skip_phase1, oracle, OFDM overrides)
 LOCALIZATION = {
-    "geo-k4-r1": (1, 4, 300, True, False),
-    "geo-k4-r2": (2, 4, 150, True, False),
-    "geo-k6-r1": (1, 6, 60, True, False),
-    "wave-k4-r3": (3, 4, 20, False, False),
-    "oracle-k4-r1": (1, 4, 100, True, True),
+    "geo-k4-r1": (1, 4, 300, True, False, {}),
+    "geo-k4-r2": (2, 4, 150, True, False, {}),
+    "geo-k6-r1": (1, 6, 60, True, False, {}),
+    "wave-k4-r3": (3, 4, 20, False, False, {}),
+    "oracle-k4-r1": (1, 4, 100, True, True, {}),
+    "wave-k4-r1": (1, 4, 40, False, False, {}),
+    "wave-k4-r2": (2, 4, 40, False, False, {}),
+    "wave-k4-r3-noiseless": (3, 4, 40, False, False, {"noise_psd_dbm_hz": None}),
+    "wave-k4-r1-24dbm": (1, 4, 40, False, False, {"tx_power_dbm": 24.0}),
 }
 
 # (surfaces, largest K) of the closest-surface cardinality runs
@@ -59,8 +65,9 @@ def _outcomes_text(outcomes) -> str:
 def _runs():
     """``(name, text)`` for each run, computed as it is reached."""
     for seed in SEEDS:
-        for name, (n_irs, k, trials, skip_phase1, oracle) in LOCALIZATION.items():
+        for name, (n_irs, k, trials, skip_phase1, oracle, ofdm) in LOCALIZATION.items():
             cfg = default_config(n_irs, k=k, trials=trials, seed=seed, skip_phase1=skip_phase1)
+            cfg = replace(cfg, ofdm=replace(cfg.ofdm, **ofdm))
             yield f"localize {name} seed={seed}", _outcomes_text(
                 run_localization(cfg, oracle=oracle)
             )
