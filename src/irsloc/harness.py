@@ -42,18 +42,16 @@ from .waveform import (
     DelayWindowError,
     OfdmConfig,
     channel_taps,
-    make_pilots,
-    make_plan,
+    pilot_turns,
     tap_domain_rx,
 )
 from .ranging import (
     RangeSets,
     RangingConfig,
-    build_range_sets,
-    detect_support,
     irs_echo_bins,
     penalties,
     quantize_range,
+    range_sets_from_bins,
     shrink,
 )
 from .association import (
@@ -312,25 +310,28 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     """Full waveform path in the tap domain: echoes and noise to ranges.
 
     Thresholds the same matched-filter vectors that synthesizing and
-    demodulating both symbols would give, without synthesizing them.
+    demodulating both symbols would give, without synthesizing them.  Each
+    symbol is one ``(2, L)`` array over both BSs: one shrink and one
+    detection per symbol.
     """
     ofdm = cfg.ofdm
     rcfg = cfg.ranging_config(scene)
     pilot_seed, phase_seed_seq, noise1, noise2 = seed_seq.spawn(4)
     phase_seed = int(phase_seed_seq.generate_state(1)[0])
-    pilots = make_pilots(make_plan(ofdm.n_subcarriers), pilot_seed)
     taps = channel_taps(scene, ofdm, phase_seed)
-    v1, v2 = tap_domain_rx(taps, pilots, ofdm, (noise1, noise2))
+    turns = pilot_turns(ofdm.n_subcarriers, pilot_seed)
+    v1, v2 = tap_domain_rx(taps, turns, ofdm, (noise1, noise2))
     known = irs_echo_bins(scene, ofdm)
-    first = []
-    second = []
+    found1 = shrink(v1, penalties(rcfg, ofdm.n_taps), ofdm).magnitudes >= rcfg.delta1
+    direct = [np.flatnonzero(row).tolist() for row in found1]
+    # penalties(rcfg, L, known[m] | direct[m]) of both BSs in one array;
+    # channel_taps has raised if an anchor bin lies outside the window
+    beta2 = np.full((2, ofdm.n_taps), rcfg.rho2)
     for m in (0, 1):
-        est1 = shrink(v1[m], penalties(rcfg, ofdm.n_taps), ofdm)
-        phi3 = detect_support(est1, rcfg.delta1)
-        est2 = shrink(v2[m], penalties(rcfg, ofdm.n_taps, known[m] | phi3), ofdm)
-        first.append(est1)
-        second.append(est2)
-    return build_range_sets((first[0], first[1]), (second[0], second[1]), scene, ofdm, rcfg)
+        beta2[m, [*known[m], *direct[m]]] = rcfg.rho1
+    found2 = shrink(v2, beta2, ofdm).magnitudes >= rcfg.delta2
+    second = [np.flatnonzero(row).tolist() for row in found2]
+    return range_sets_from_bins(direct, second, known, ofdm)
 
 
 def run_trial(
@@ -385,7 +386,7 @@ def run_trial(
     return _scored_outcome(trial, k, scene, start, result, correct, result.solution)
 
 
-def error_probability(outcomes, radius: float = 0.8) -> float:
+def error_probability(outcomes, radius: float) -> float:
     """Fraction of targets localized worse than ``radius`` meters.
 
     Detection and association failures contribute every target of their

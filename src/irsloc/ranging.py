@@ -23,11 +23,14 @@ pilot-compensated samples scattered onto the comb.
 
 Experiments never form ``y``: ``waveform.tap_domain_rx`` gives the
 matched-filter vectors ``h + A'z / (p * N/2)`` of both symbols and both BSs
-straight from ``waveform.channel_taps``' arrays and the noise draws, and
-``shrink`` thresholds each.  ``lasso_solve`` and ``weighted_lasso_solve``
-take that vector from samples synthesized from ``waveform.build_paths``
-(``waveform.simulate_freq_rx``) instead; they are the reference chain the
-acceptance tests and the benchmark's traced rebuild run.
+straight from ``waveform.channel_taps``' arrays and the noise draws.  Each
+symbol's ``(2, L)`` array takes one ``shrink`` and one magnitude threshold,
+and ``range_sets_from_bins`` turns the detected bins into range lists.
+``lasso_solve`` and ``weighted_lasso_solve`` take that vector per BS from
+samples synthesized from ``waveform.build_paths``
+(``waveform.simulate_freq_rx``) instead, and ``build_range_sets`` detects
+on their estimates; they are the reference chain the acceptance tests and
+the benchmark's traced rebuild run.
 """
 
 import math
@@ -298,22 +301,29 @@ def build_range_sets(
     detection produced; callers decide whether unbalanced lists abort a
     trial.
     """
-    known = irs_echo_bins(scene, cfg)
-    direct = []
-    via = []
-    d_bins = []
-    v_bins = []
-    for m in (0, 1):
-        phi3 = detect_support(first_symbol[m], rcfg.delta1)
-        phi = detect_support(second_symbol[m], rcfg.delta2)
-        phi4 = phi - phi3 - set(known[m])
-        direct.append(tuple(delay_to_range(l, cfg) for l in sorted(phi3)))
-        via.append(tuple(delay_to_range(l, cfg) for l in sorted(phi4)))
-        d_bins.append(frozenset(phi3))
-        v_bins.append(frozenset(phi4))
+    return range_sets_from_bins(
+        [detect_support(est, rcfg.delta1) for est in first_symbol],
+        [detect_support(est, rcfg.delta2) for est in second_symbol],
+        irs_echo_bins(scene, cfg),
+        cfg,
+    )
+
+
+def range_sets_from_bins(direct_bins, second_bins, known, cfg: OfdmConfig) -> RangeSets:
+    """Range lists and bin fields from each BS's detected delay bins.
+
+    ``direct_bins[m]`` is BS ``m``'s first-symbol support and
+    ``second_bins[m]`` its second-symbol one; what the second adds outside
+    the first and outside the anchor bins ``known[m]`` is a compound echo.
+    """
+    d_bins = tuple(frozenset(bins) for bins in direct_bins)
+    v_bins = tuple(
+        frozenset(bins).difference(phi3, anchors)
+        for bins, phi3, anchors in zip(second_bins, d_bins, known)
+    )
     return RangeSets(
-        direct=(direct[0], direct[1]),
-        via_irs=(via[0], via[1]),
-        direct_bins=(d_bins[0], d_bins[1]),
-        via_bins=(v_bins[0], v_bins[1]),
+        direct=tuple(tuple(delay_to_range(l, cfg) for l in sorted(b)) for b in d_bins),
+        via_irs=tuple(tuple(delay_to_range(l, cfg) for l in sorted(b)) for b in v_bins),
+        direct_bins=d_bins,
+        via_bins=v_bins,
     )

@@ -15,8 +15,9 @@ chain is equivalent sample for sample and serves as its reference.
 Experiments never synthesize ``y`` and never build ``PathTap`` lists:
 ``channel_taps`` gives both symbols' tap vectors as arrays, and recovery reads
 only each comb's matched filter, the taps plus matched-filtered noise
-(``tap_domain_rx``).  ``build_paths``, with one phase generator per path, and
-the dense synthesis, with the same noise, stay as their references.
+(``tap_domain_rx``), with the pilots as quarter turns (``pilot_turns``).
+``build_paths``, with one phase generator per path, ``make_pilots`` and the
+dense synthesis, with the same noise, stay as their references.
 
 Echo kinds, named for the receiver ``m`` (transmitter is also ``m``):
 
@@ -396,6 +397,19 @@ def make_pilots(plan: SubcarrierPlan, seed) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
+def pilot_turns(n_subcarriers: int, seed) -> np.ndarray:
+    """``make_pilots``' QPSK indices as one ``(2, N/2)`` array of quarter turns.
+
+    Row ``m`` holds BS ``m``'s pilots as ``exp(0.5j*pi*turns[m])``: one draw
+    of the same generator stream that ``make_pilots`` reads in two.
+    """
+    return np.random.default_rng(seed).integers(0, 4, size=(2, n_subcarriers // 2))
+
+
+# conj(exp(0.5j*pi*k)) for k = 0..3, exactly
+_CONJ_QPSK = np.array([1, -1j, -1, 1j])
+
+
 @dataclass(eq=False)
 class BsSnapshot:
     """Received pilots on one BS comb for one symbol."""
@@ -444,30 +458,29 @@ def matched_filter(values: np.ndarray, m: int, p: float, cfg: OfdmConfig) -> np.
 
 def tap_domain_rx(
     taps: np.ndarray,
-    pilots: tuple[np.ndarray, np.ndarray],
+    turns: np.ndarray,
     cfg: OfdmConfig,
-    seeds=(None, None),
+    seeds,
 ) -> np.ndarray:
     """Both symbols' per-BS matched-filter vectors of ``simulate_freq_rx``'s samples.
 
-    ``taps`` is ``channel_taps``' ``(2, 2, L)`` array and ``seeds`` holds
-    each symbol's noise seed.  On the interleaved comb with unit-modulus
-    pilots ``A'A = p * N/2 * I``, so ``A'y / (p * N/2) = h + A'z / (p * N/2)``:
-    the taps plus the matched filter of the same noise ``z`` that
-    ``simulate_freq_rx`` draws for each seed.  BS ``m``'s comb holds the
-    0-based bins ``m, m + 2, ...``, so ``matched_filter``'s length-N inverse
-    DFT is half the length-N/2 one of the comb's values times
-    ``exp(2j*pi*m*l/N)``: one batched transform forms all four vectors.  No
-    frequency sample is synthesized.
+    ``taps`` is ``channel_taps``' ``(2, 2, L)`` array, ``turns`` the pilots
+    as ``pilot_turns`` gives them and ``seeds`` each symbol's noise seed.  On
+    the interleaved comb with unit-modulus pilots ``A'A = p * N/2 * I``, so
+    ``A'y / (p * N/2) = h + A'z / (p * N/2)``: the taps plus the matched
+    filter of the same noise ``z`` that ``simulate_freq_rx`` draws for each
+    seed.  Compensating a QPSK pilot is an exact quarter turn of the noise.
+    BS ``m``'s comb holds the 0-based bins ``m, m + 2, ...``, so
+    ``matched_filter``'s length-N inverse DFT is half the length-N/2 one of
+    the comb's values times ``exp(2j*pi*m*l/N)``: one batched transform
+    forms all four vectors.  No frequency sample is synthesized.
     """
-    half = cfg.n_subcarriers // 2
-    for m in (0, 1):
-        if np.shape(pilots[m]) != (half,):
-            raise ValueError(f"pilots for BS {m + 1} do not match N/2 subcarriers")
+    if np.shape(turns) != (2, cfg.n_subcarriers // 2):
+        raise ValueError("pilots do not match the N/2 subcarriers of each comb")
     noise = [_comb_noise(cfg, seed) for seed in seeds]
     if noise[0] is None:
         return np.array(taps)
-    mf = np.fft.ifft(np.conj(pilots) * np.array(noise))[..., : cfg.n_taps]
+    mf = np.fft.ifft(_CONJ_QPSK[turns] * np.array(noise))[..., : cfg.n_taps]
     mf[:, 1] *= _twiddles(cfg.n_subcarriers)[: cfg.n_taps].conj()
     return taps + mf / math.sqrt(cfg.subcarrier_power_w)
 

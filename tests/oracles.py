@@ -9,6 +9,14 @@ import math
 import numpy as np
 
 from irsloc.association import circle_intersections
+from irsloc.ranging import (
+    RangeSets,
+    build_range_sets,
+    detect_support,
+    irs_echo_bins,
+    lasso_solve,
+    weighted_lasso_solve,
+)
 from irsloc.scene import (
     DEFAULT_CELL_M,
     Point2D,
@@ -21,6 +29,7 @@ from irsloc.scene import (
     echo_lengths,
     nearest_irs,
 )
+from irsloc.waveform import build_paths, make_pilots, make_plan, simulate_freq_rx
 
 
 def reference_half_disc_sample(rng, center: Point2D, radius: float, bs_axis) -> Point2D:
@@ -111,3 +120,28 @@ def reference_steering_matrix(subcarriers, n_fft: int, n_taps: int) -> np.ndarra
     N as ``waveform.steering_matrix``'s twiddle lookup reduces it."""
     k = np.outer(np.asarray(subcarriers) - 1, np.arange(n_taps)) % n_fft
     return np.exp(-2j * np.pi * k / n_fft)
+
+
+def reference_phase1_range_sets(scene: Scene, cfg, seed_seq) -> RangeSets:
+    """``harness._phase1_range_sets`` through the dense chain: both symbols'
+    samples synthesized from ``build_paths``' tap lists, one solve and one
+    detection per BS and symbol, seeds spawned as the harness spawns them."""
+    ofdm = cfg.ofdm
+    plan = make_plan(ofdm.n_subcarriers)
+    rcfg = cfg.ranging_config(scene)
+    pilot_seed, phase_seed_seq, noise1, noise2 = seed_seq.spawn(4)
+    phase_seed = int(phase_seed_seq.generate_state(1)[0])
+    pilots = make_pilots(plan, pilot_seed)
+    snaps = [
+        simulate_freq_rx(build_paths(scene, ofdm, symbol, phase_seed), pilots, ofdm, plan, seed)
+        for symbol, seed in ((1, noise1), (2, noise2))
+    ]
+    known = irs_echo_bins(scene, ofdm)
+    first = tuple(lasso_solve(snaps[0].by_bs[m], ofdm, rcfg) for m in (0, 1))
+    second = tuple(
+        weighted_lasso_solve(
+            snaps[1].by_bs[m], known[m], detect_support(first[m], rcfg.delta1), ofdm, rcfg
+        )
+        for m in (0, 1)
+    )
+    return build_range_sets(first, second, scene, ofdm, rcfg)

@@ -49,6 +49,7 @@ from irsloc.scene import (
     sample_targets,
 )
 from irsloc.waveform import DelayWindowError, OfdmConfig
+from oracles import reference_phase1_range_sets
 from test_association import reference_enumerate
 
 
@@ -357,6 +358,34 @@ class TestTrials:
         assert out.solver_calls == 246
 
 
+class TestPhase1Oracle:
+    """``_phase1_range_sets`` equals the dense reference chain: both range
+    lists and both bin fields, near the detection cliff and without noise."""
+
+    @pytest.mark.parametrize(
+        "tx_dbm, noise_psd",
+        [(39.0, -174.0), (27.0, -174.0), (24.0, -174.0), (39.0, None)],
+        ids=["39dBm", "27dBm", "24dBm", "noise-off"],
+    )
+    @pytest.mark.parametrize("n_irs", (1, 2, 3))
+    def test_equals_dense_chain(self, n_irs, tx_dbm, noise_psd):
+        cfg = default_config(n_irs, k=4, skip_phase1=False)
+        cfg = replace(cfg, ofdm=replace(cfg.ofdm, tx_power_dbm=tx_dbm, noise_psd_dbm_hz=noise_psd))
+        trials = [s.spawn(2) for s in np.random.SeedSequence(0).spawn(10)]
+        trials.append((trials[0][0], np.random.SeedSequence(0)))
+        detected = 0
+        for scene_seed, phase1_seed in trials:
+            scene = sample_targets(
+                cfg.bs, cfg.irs, cfg.k, cfg.target_radius_m, scene_seed, cell_m=cfg.ofdm.cell_m
+            )
+            # spawning advances a SeedSequence, so each side gets its own copy
+            want = reference_phase1_range_sets(scene, cfg, copy.deepcopy(phase1_seed))
+            got = harness._phase1_range_sets(scene, cfg, phase1_seed)
+            assert got == want
+            detected += sum(got.counts())
+        assert detected > 0
+
+
 class TestFailures:
     """Each way a trial can stop before association has its own reason."""
 
@@ -615,7 +644,7 @@ class TestScoring:
 
     def test_error_probability_empty(self):
         with pytest.raises(ValueError):
-            error_probability([])
+            error_probability([], 0.8)
 
     def test_association_accuracy(self):
         outs = [self._outcome([0.1], True), self._outcome([0.1], False)]

@@ -32,6 +32,7 @@ from irsloc.waveform import (
     channel_vector,
     make_pilots,
     make_plan,
+    pilot_turns,
     simulate_freq_rx,
     tap_domain_rx,
 )
@@ -356,9 +357,10 @@ class TestTapDomain:
         for i, scene in enumerate(scenes):
             rcfg = RangingConfig.calibrated(cfg, scene, radius)
             pilots = make_pilots(plan, 40 + i)
+            turns = pilot_turns(cfg.n_subcarriers, 40 + i)
             known = irs_echo_bins(scene, cfg)
             noise_seeds = np.random.SeedSequence(i).spawn(2)
-            fast = tap_domain_rx(channel_taps(scene, cfg, 7 + i), pilots, cfg, noise_seeds)
+            fast = tap_domain_rx(channel_taps(scene, cfg, 7 + i), turns, cfg, noise_seeds)
             assert fast.shape == (2, 2, cfg.n_taps)
             first_support = {}
             for symbol in (1, 2):
@@ -388,7 +390,7 @@ class TestTapDomain:
         cfg, scenes, _ = TAP_DOMAIN_CASES["n64"]
         taps = channel_taps(scenes[0], cfg, 0)
         with pytest.raises(ValueError, match="pilots"):
-            tap_domain_rx(taps, make_pilots(make_plan(128), 0), cfg)
+            tap_domain_rx(taps, pilot_turns(128, 0), cfg, (1, 2))
 
 
 class TestDetection:

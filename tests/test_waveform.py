@@ -28,6 +28,7 @@ from irsloc.waveform import (
     ofdm_demodulate,
     ofdm_modulate,
     path_phases,
+    pilot_turns,
     simulate_freq_rx,
     steering_matrix,
 )
@@ -519,6 +520,23 @@ class TestPilots:
         b = make_pilots(plan, seed=3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from((2, 6, 16, 2048)),
+        entropy=st.integers(0, 2**128 - 1),
+        spawned=st.booleans(),
+    )
+    @example(n=2048, entropy=0, spawned=False)
+    @example(n=2048, entropy=0, spawned=True)
+    def test_quarter_turns_are_make_pilots(self, n, entropy, spawned):
+        seed = np.random.SeedSequence(entropy).spawn(4)[0] if spawned else entropy
+        turns = pilot_turns(n, seed)
+        pilots = np.array(make_pilots(make_plan(n), seed))
+        assert turns.shape == (2, n // 2)
+        np.testing.assert_array_equal(np.rint(np.angle(pilots) / (0.5 * math.pi)) % 4, turns)
+        np.testing.assert_array_equal(np.exp(0.5j * math.pi * turns), pilots)
+        assert np.max(np.abs(waveform._CONJ_QPSK[turns] - np.conj(pilots))) <= 2e-16
 
 
 class TestFreqRx:
