@@ -164,32 +164,36 @@ def closest_irs_rule(scene: Scene, sets: RangeSets):
 
     ``rule(direct1, direct2)`` is ``closest_irs_candidates`` for that pick,
     computed on first lookup only; a hypothesis passes when its IRS is in it.
-    It is ``circle_intersections`` with the BS distance and axis hoisted.
+    It is ``circle_intersections`` with the BS distance and axis hoisted;
+    its memo is a plain dict, freed with ``rule`` by reference counting.
     """
     (x1, y1), (x2, y2) = scene.bs
     irs, (direct1s, direct2s) = scene.irs, sets.direct
     hypot, surfaces = math.hypot, range(len(irs))
     d = hypot(x2 - x1, y2 - y1)
     ex, ey = (x2 - x1) / d, (y2 - y1) / d
+    memo = {}
 
-    @functools.cache
     def rule(direct1: int, direct2: int) -> frozenset[int]:
+        near = memo.get((direct1, direct2))
+        if near is not None:
+            return near
         r1, r2 = 0.5 * direct1s[direct1], 0.5 * direct2s[direct2]
         if r1 < 0 or r2 < 0:
             raise ValueError("radii must be nonnegative")
-        if d > r1 + r2 or d < abs(r1 - r2):
-            return frozenset()
-        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-        h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-        mx, my = x1 + a * ex, y1 + a * ey
         near = set()
-        for px, py in ((mx + h * (-ey), my + h * ex), (mx - h * (-ey), my - h * ex)):
-            dists = [hypot(qx - px, qy - py) for qx, qy in irs]
-            cut = min(dists) + 1e-9
-            for r in surfaces:
-                if dists[r] <= cut:
-                    near.add(r)
-        return frozenset(near)
+        if not (d > r1 + r2 or d < abs(r1 - r2)):
+            a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+            h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+            mx, my = x1 + a * ex, y1 + a * ey
+            for px, py in ((mx + h * (-ey), my + h * ex), (mx - h * (-ey), my - h * ex)):
+                dists = [hypot(qx - px, qy - py) for qx, qy in irs]
+                cut = min(dists) + 1e-9
+                for r in surfaces:
+                    if dists[r] <= cut:
+                        near.add(r)
+        near = memo[direct1, direct2] = frozenset(near)
+        return near
 
     return rule
 
@@ -258,27 +262,32 @@ def completion_counts(picks, keep=None):
     levels, so it depends on the order.  Completions depend only on the used
     entries, hence the memo (a subset DP, as in Held and Karp 1962).
     ``keep`` runs at most once per tuple, and only where the entries left
-    have kept completions, so a costly predicate skips dead ends.
+    have kept completions, so a costly predicate skips dead ends.  Both
+    memos are plain dicts that a module-level recursion reads, so they are
+    freed with ``count`` by reference counting.
     """
-    k = len(picks)
-    passes = functools.cache(keep) if keep is not None else None
-    memo = {(1 << 3 * k) - 1: (1, 1)}  # every entry used: the one empty completion
+    memo = {(1 << 3 * len(picks)) - 1: (1, 1)}  # every entry used: the one empty completion
+    return functools.partial(_completions, picks, keep, {}, memo)
 
-    def walk(used: int, level: int) -> tuple[int, int]:
-        n_all = n_kept = 0
-        for t, mask in picks[level]:
-            if not used & mask:
-                sub_all, sub_kept = memo.get(used | mask) or walk(used | mask, level + 1)
-                n_all += sub_all
-                if sub_kept and (passes is None or passes(t)):
-                    n_kept += sub_kept
-        memo[used] = n_all, n_kept
-        return n_all, n_kept
 
-    def count(used: int) -> tuple[int, int]:
-        return memo.get(used) or walk(used, used.bit_count() // 3)
-
-    return count
+def _completions(picks, keep, passed, memo, used: int) -> tuple[int, int]:
+    """``completion_counts``' ``count``; ``passed`` memoizes ``keep`` per tuple."""
+    done = memo.get(used)
+    if done:
+        return done
+    n_all = n_kept = 0
+    for t, mask in picks[used.bit_count() // 3]:
+        if not used & mask:
+            sub_all, sub_kept = memo.get(used | mask) or _completions(
+                picks, keep, passed, memo, used | mask
+            )
+            n_all += sub_all
+            if sub_kept and (
+                keep is None or (passed[t] if t in passed else passed.setdefault(t, keep(t)))
+            ):
+                n_kept += sub_kept
+    memo[used] = n_all, n_kept
+    return n_all, n_kept
 
 
 def enumerate_feasible(

@@ -12,7 +12,8 @@ yield one entry per target in every list) or ``no_truth`` (some true range
 is missing from the lists, so the trial cannot be scored).
 
 Determinism: every experiment spawns one child seed per trial from a master
-seed, so runs are reproducible and different trial counts share prefixes.
+seed, so runs are reproducible and different trial counts share prefixes.  A
+trial's own seeds come from ``_seed_children``, so a rerun repeats the trial.
 """
 
 import csv
@@ -306,6 +307,12 @@ def _true_positions_by_rank(scene: Scene) -> tuple[Point2D, ...]:
     return tuple(scene.targets[i] for i in rank_order(scene))
 
 
+def _seed_children(seed_seq, n: int) -> list:
+    """``seed_seq.spawn(n)`` as on a fresh sequence, leaving ``seed_seq`` as it is."""
+    entropy, key, pool = seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size
+    return [np.random.SeedSequence(entropy, spawn_key=(*key, j), pool_size=pool) for j in range(n)]
+
+
 def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSets:
     """Full waveform path in the tap domain: echoes and noise to ranges.
 
@@ -316,7 +323,7 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     """
     ofdm = cfg.ofdm
     rcfg = cfg.ranging_config(scene)
-    pilot_seed, phase_seed_seq, noise1, noise2 = seed_seq.spawn(4)
+    pilot_seed, phase_seed_seq, noise1, noise2 = _seed_children(seed_seq, 4)
     phase_seed = int(phase_seed_seq.generate_state(1)[0])
     taps = channel_taps(scene, ofdm, phase_seed)
     turns = pilot_turns(ofdm.n_subcarriers, pilot_seed)
@@ -324,12 +331,9 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     known = irs_echo_bins(scene, ofdm)
     found1 = shrink(v1, penalties(rcfg, ofdm.n_taps), ofdm).magnitudes >= rcfg.delta1
     direct = [np.flatnonzero(row).tolist() for row in found1]
-    # penalties(rcfg, L, known[m] | direct[m]) of both BSs in one array;
-    # channel_taps has raised if an anchor bin lies outside the window
-    beta2 = np.full((2, ofdm.n_taps), rcfg.rho2)
-    for m in (0, 1):
-        beta2[m, [*known[m], *direct[m]]] = rcfg.rho1
-    found2 = shrink(v2, beta2, ofdm).magnitudes >= rcfg.delta2
+    # range_sets_from_bins drops the anchor and first-symbol bins, the only
+    # ones where penalties(rcfg, L, known) puts rho1, so rho2 on every bin
+    found2 = shrink(v2, rcfg.rho2, ofdm).magnitudes >= rcfg.delta2
     second = [np.flatnonzero(row).tolist() for row in found2]
     return range_sets_from_bins(direct, second, known, ofdm)
 
@@ -347,7 +351,7 @@ def run_trial(
     """
     start = time.perf_counter()
     k = cfg.k
-    scene_seed, phase1_seed = seed_seq.spawn(2)
+    scene_seed, phase1_seed = _seed_children(seed_seq, 2)
     try:
         scene = sample_targets(
             cfg.bs,
@@ -547,7 +551,7 @@ def run_baseline_trial(
     k = cfg.k
     anchors = (cfg.bs[0], cfg.bs[1], cfg.irs[0])
     n_solutions = math.factorial(k) ** 2
-    scene_seed, _ = seed_seq.spawn(2)
+    scene_seed = _seed_children(seed_seq, 1)[0]
     try:
         scene3 = sample_targets(
             cfg.bs,

@@ -23,7 +23,6 @@ pick only when the entries it leaves can still complete a solution, so no
 feasible set is listed.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -332,41 +331,48 @@ def lexmin_select(
     lexicographic order.  A node is the int of entries used so far, so
     prefixes that used the same entries share one node (a subset DP, as in
     Held and Karp 1962); a pick is a child when its mask is free and ``live``
-    is None or ``live(used | mask)`` holds.  ``walk`` runs once per node and
+    is None or ``live(used | mask)`` holds.  ``_walk`` runs once per node and
     returns its number of complete solutions whose every tuple stays below
     ``threshold``, their smallest total residual and the first solution with
     that total; ``fit`` runs once per distinct tuple reached.  Totals are
     summed from the last level up, and only a strictly smaller total replaces
     a node's best, so the first minimum in lexicographic order wins.  When no
     solution survives and any of the ``n_solutions`` exist, a second walk
-    drops the threshold.
+    drops the threshold.  Fits and nodes are memoized in plain dicts, freed
+    on return by reference counting.
     """
-    solve = functools.cache(fit)
-
-    @functools.cache
-    def walk(used: int, level: int, enforce: bool):
-        if level == len(picks):
-            return 1, 0.0, ()
-        survivors, best_total, best = 0, math.inf, None
-        for t, mask in picks[level]:
-            if used & mask or (live is not None and not live(used | mask)):
-                continue
-            residual = solve(t).residual
-            if enforce and residual >= threshold:
-                continue
-            count, total, path = walk(used | mask, level + 1, enforce)
-            survivors += count
-            if residual + total < best_total:
-                best_total, best = residual + total, (t,) + path
-        return survivors, best_total, best
-
-    survivors, _, best = walk(0, 0, True)
+    fits = {}
+    survivors, _, best = _walk(picks, fit, fits, live, threshold, {}, 0, 0)
     fallback = best is None and n_solutions > 0
     if fallback:
-        best = walk(0, 0, False)[2]
-    stats = SolveStats(n_solutions, survivors, solve.cache_info().currsize, fallback)
-    estimates = () if best is None else tuple(solve(t) for t in best)
+        best = _walk(picks, fit, fits, live, None, {}, 0, 0)[2]
+    stats = SolveStats(n_solutions, survivors, len(fits), fallback)
+    estimates = () if best is None else tuple(fits[t] for t in best)
     return LocalizationResult(solution=best, estimates=estimates, stats=stats)
+
+
+def _walk(picks, fit, fits, live, limit, nodes, used: int, level: int):
+    """``lexmin_select``'s walk from node ``used`` at ``level``, pruning at
+    ``limit`` unless it is None.  ``fits`` maps each tuple reached to its fit
+    and ``nodes`` each ``(used, level)`` visited to its result."""
+    if level == len(picks):
+        return 1, 0.0, ()
+    node = nodes.get((used, level))
+    if node is not None:
+        return node
+    survivors, best_total, best = 0, math.inf, None
+    for t, mask in picks[level]:
+        if used & mask or (live is not None and not live(used | mask)):
+            continue
+        residual = (fits[t] if t in fits else fits.setdefault(t, fit(t))).residual
+        if limit is not None and residual >= limit:
+            continue
+        count, total, path = _walk(picks, fit, fits, live, limit, nodes, used | mask, level + 1)
+        survivors += count
+        if residual + total < best_total:
+            best_total, best = residual + total, (t,) + path
+    nodes[used, level] = node = survivors, best_total, best
+    return node
 
 
 def _select(picks, sets: RangeSets, scene: Scene, w: ResidualWeights, cfg: GnConfig):

@@ -144,7 +144,7 @@ def penalties(rcfg: RangingConfig, n_taps: int, known=None) -> np.ndarray:
 
 
 def shrink(
-    v: np.ndarray, beta: np.ndarray, cfg: OfdmConfig, p: float | None = None
+    v: np.ndarray, beta: np.ndarray | float, cfg: OfdmConfig, p: float | None = None
 ) -> ChannelEstimate:
     """Weighted-lasso estimate from its matched-filter vector ``v = A'y / c``.
 

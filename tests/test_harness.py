@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import json
 import math
 import re
@@ -14,7 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsloc import association, harness, locate
-from irsloc.association import circle_intersections, count_unfiltered_solutions
+from irsloc.association import (
+    circle_intersections,
+    count_unfiltered_solutions,
+    enumerate_feasible,
+)
 from irsloc.cli import main
 from irsloc.harness import (
     DEFAULT_BS,
@@ -347,6 +352,26 @@ class TestTrials:
         assert all(o.failure is None and o.n_feasible >= 1 for o in outcomes)
         assert any(o.association_correct for o in outcomes)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), skip_phase1=st.booleans())
+    @example(seed=0, skip_phase1=True)
+    @example(seed=0, skip_phase1=False)
+    def test_rerun_on_one_seed_repeats_the_trial(self, seed, skip_phase1):
+        # spawning advances a SeedSequence, so a trial that spawned its own
+        # seeds would be another trial when called again on the same object
+        seed_seq = np.random.SeedSequence(seed).spawn(3)[2]
+        want = [c.generate_state(4).tolist() for c in copy.deepcopy(seed_seq).spawn(4)]
+        assert [c.generate_state(4).tolist() for c in harness._seed_children(seed_seq, 4)] == want
+        cfg = default_config(3, k=4, skip_phase1=skip_phase1)
+        first, second = (_without_wall_time(run_trial(cfg, 0, seed_seq)) for _ in range(2))
+        assert first == second
+        base = default_config(1, k=4)
+        first, second = (
+            _without_wall_time(harness.run_baseline_trial(base, 0, seed_seq)) for _ in range(2)
+        )
+        assert first == second
+        assert seed_seq.n_children_spawned == 0
+
     def test_dense_k7_trial_within_budget(self):
         # seven targets on a 12 m disc leave 415,991 feasible solutions;
         # listing them took tens of seconds, the used-entry masks do not
@@ -378,7 +403,7 @@ class TestPhase1Oracle:
             scene = sample_targets(
                 cfg.bs, cfg.irs, cfg.k, cfg.target_radius_m, scene_seed, cell_m=cfg.ofdm.cell_m
             )
-            # spawning advances a SeedSequence, so each side gets its own copy
+            # the reference spawns, which advances a SeedSequence: give it a copy
             want = reference_phase1_range_sets(scene, cfg, copy.deepcopy(phase1_seed))
             got = harness._phase1_range_sets(scene, cfg, phase1_seed)
             assert got == want
@@ -1198,6 +1223,71 @@ class TestUniqueness:
         # a check over no scenes would pass with nothing checked
         with pytest.raises(ValueError, match="n_scenes"):
             uniqueness_experiment(n_scenes)
+
+
+class TestNoReferenceCycles:
+    """Every per-call memo is freed by reference counting: with the cyclic
+    collector off while an entry point runs, a collection afterwards finds
+    no unreachable object, so no collection pass runs inside a trial."""
+
+    @staticmethod
+    def unreachable_after(fn, *args):
+        """``fn(*args)`` run with the cyclic collector off, and the number of
+        unreachable objects a collection then finds."""
+        gc.collect()
+        gc.disable()
+        try:
+            result = fn(*args)
+            return result, gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "n_irs, skip_phase1, oracle",
+        [(1, True, False), (2, True, False), (3, False, False), (1, True, True)],
+        ids=["geometry-r1", "geometry-r2", "waveform-r3", "oracle"],
+    )
+    def test_run_trial(self, n_irs, skip_phase1, oracle):
+        cfg = default_config(n_irs, k=4, trials=5, skip_phase1=skip_phase1)
+        outcomes, unreachable = self.unreachable_after(run_localization, cfg, oracle)
+        assert unreachable == 0
+        assert sum(o.failure is None for o in outcomes) >= 4
+
+    @pytest.mark.parametrize("n_irs", (1, 3), ids=["fit-keep", "rule-keep"])
+    def test_cardinality_experiment(self, n_irs):
+        cfg = default_config(n_irs, k=4, trials=5)
+        (row,), unreachable = self.unreachable_after(cardinality_experiment, cfg, (4,))
+        assert unreachable == 0
+        assert row["mean_feasible"] >= row["mean_reduced"] >= 1
+
+    @pytest.mark.parametrize("gn", (GnConfig(), FORCED_FALLBACK), ids=["pruned", "fallback"])
+    def test_run_baseline_trial(self, gn):
+        cfg = default_config(1, k=4, trials=5, gn=gn)
+        outcomes, unreachable = self.unreachable_after(baseline_3bs, cfg)
+        assert unreachable == 0
+        assert [o.fallback for o in outcomes] == [gn == FORCED_FALLBACK] * 5
+
+    def test_uniqueness_experiment(self):
+        report, unreachable = self.unreachable_after(uniqueness_experiment, 9)
+        assert unreachable == 0
+        assert report["localized"] == 9
+
+    def test_select_association(self):
+        # the listed set is built first: enumerate_feasible, the listed
+        # reference, still recurses through a self-referencing closure
+        cfg = default_config(2, k=4)
+        scene = sample_targets(
+            cfg.bs, cfg.irs, cfg.k, cfg.target_radius_m, np.random.SeedSequence(6),
+            cell_m=cfg.ofdm.cell_m,
+        )
+        sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
+        feasible = enumerate_feasible(sets, scene, cfg.tau_m, use_closest_irs=True)
+        assert len(feasible.solutions) == 2
+        result, unreachable = self.unreachable_after(
+            select_association, feasible, sets, scene, cfg.weights, cfg.gn
+        )
+        assert unreachable == 0
+        assert result.solution in feasible.solutions
 
 
 class TestCsv:
