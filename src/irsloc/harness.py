@@ -50,10 +50,8 @@ from .ranging import (
     RangeSets,
     RangingConfig,
     irs_echo_bins,
-    penalties,
     quantize_range,
     range_sets_from_bins,
-    shrink,
 )
 from .association import (
     AssociationTuple,
@@ -317,9 +315,10 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     """Full waveform path in the tap domain: echoes and noise to ranges.
 
     Thresholds the same matched-filter vectors that synthesizing and
-    demodulating both symbols would give, without synthesizing them.  Each
-    symbol is one ``(2, L)`` array over both BSs: one shrink and one
-    detection per symbol.
+    demodulating both symbols would give, without synthesizing them.  One
+    comparison on the ``(2, 2, L)`` array detects both symbols and both BSs:
+    ``|v| >= delta1 + rho / c`` is what shrinking at ``rho / c`` and
+    thresholding at ``delta1`` detect.
     """
     ofdm = cfg.ofdm
     rcfg = cfg.ranging_config(scene)
@@ -327,15 +326,11 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     phase_seed = int(phase_seed_seq.generate_state(1)[0])
     taps = channel_taps(scene, ofdm, phase_seed)
     turns = pilot_turns(ofdm.n_subcarriers, pilot_seed)
-    v1, v2 = tap_domain_rx(taps, turns, ofdm, (noise1, noise2))
-    known = irs_echo_bins(scene, ofdm)
-    found1 = shrink(v1, penalties(rcfg, ofdm.n_taps), ofdm).magnitudes >= rcfg.delta1
-    direct = [np.flatnonzero(row).tolist() for row in found1]
-    # range_sets_from_bins drops the anchor and first-symbol bins, the only
-    # ones where penalties(rcfg, L, known) puts rho1, so rho2 on every bin
-    found2 = shrink(v2, rcfg.rho2, ofdm).magnitudes >= rcfg.delta2
-    second = [np.flatnonzero(row).tolist() for row in found2]
-    return range_sets_from_bins(direct, second, known, ofdm)
+    v = tap_domain_rx(taps, turns, ofdm, (noise1, noise2))
+    c = ofdm.subcarrier_power_w * (ofdm.n_subcarriers // 2)
+    found = np.abs(v) >= rcfg.delta1 + rcfg.rho / c
+    direct, second = ([np.flatnonzero(row).tolist() for row in sym] for sym in found)
+    return range_sets_from_bins(direct, second, irs_echo_bins(scene, ofdm), ofdm)
 
 
 def run_trial(
@@ -409,6 +404,8 @@ def error_probability(outcomes, radius: float) -> float:
 
 
 def association_accuracy(outcomes) -> float:
+    if not outcomes:
+        raise ValueError("no outcomes")
     return sum(1 for o in outcomes if o.association_correct) / len(outcomes)
 
 
@@ -792,11 +789,13 @@ def write_rows_csv(path, rows: list[dict]) -> None:
 
 
 def summarize_localization(outcomes, error_radius: float, label: str) -> dict:
+    # first: it raises ValueError on an empty list
+    p_err = error_probability(outcomes, error_radius)
     return {
         "mode": label,
         "trials": len(outcomes),
-        "k": outcomes[0].k if outcomes else 0,
-        "error_probability": error_probability(outcomes, error_radius),
+        "k": outcomes[0].k,
+        "error_probability": p_err,
         "association_accuracy": association_accuracy(outcomes),
         "detection_failures": sum(1 for o in outcomes if o.detection_failed),
         **{

@@ -4,33 +4,28 @@ Phase I of the pipeline: recover the sparse tap vector of each BS's
 monostatic channel from one pilot symbol, threshold it into a delay support,
 and convert delays to ranges.  The first symbol sees only direct target
 echoes; the second adds IRS reflections, whose delays are known from anchor
-geometry, plus the compound target-via-IRS echoes.  Taps that were already
-explained by the first symbol or by anchor geometry get a weaker l1 penalty
-in the second solve, and whatever survives outside those known bins is read
-as a compound echo.
+geometry, plus the compound target-via-IRS echoes: whatever its support
+holds outside the first symbol's and the anchor bins.
 
-The tap estimate minimizes the l1 objective
+The tap estimate minimizes ``0.5 * ||y - A h||^2 + rho * ||h||_1``, with
+``A = sqrt(p) * diag(s) * G`` and ``G`` the delay steering matrix of the
+BS's comb.  On an interleaved comb (N/2 bins at stride 2) with unit-modulus
+pilots and ``L <= N/2`` taps, ``A'A = c * I``, ``c = p * N/2``, exactly, so
+this is the orthonormal-design lasso and its minimizer is one complex soft
+threshold of the matched-filter output ``v = A'y / c`` at ``rho / c``
+(Tibshirani 1996; Donoho and Johnstone 1994).  ``A'y`` is one length-N
+inverse FFT of the pilot-compensated samples scattered onto the comb.  A
+bin is detected when ``|v| >= delta1 + rho / c``; calibrated, ``rho / c =
+sigma * sqrt(2 ln L)``, 3.59 sigma above ``delta1`` at L = 640.
 
-    0.5 * ||y - A h||^2 + sum_l beta_l |h_l|,   A = sqrt(p) * diag(s) * G,
-
-with ``G`` the delay steering matrix of the BS's comb.  On an interleaved
-comb (N/2 bins at stride 2) with unit-modulus pilots and ``L <= N/2`` taps,
-``A'A = p * N/2 * I`` exactly, so this is the orthonormal-design lasso and
-its minimizer is one complex soft threshold of the matched-filter output
-``A'y / (p * N/2)`` at ``beta / (p * N/2)`` (Tibshirani 1996; Donoho and
-Johnstone 1994).  ``A'y`` is one length-N inverse FFT of the
-pilot-compensated samples scattered onto the comb.
-
-Experiments never form ``y``: ``waveform.tap_domain_rx`` gives the
-matched-filter vectors ``h + A'z / (p * N/2)`` of both symbols and both BSs
-straight from ``waveform.channel_taps``' arrays and the noise draws.  Each
-symbol's ``(2, L)`` array takes one ``shrink`` and one magnitude threshold,
-and ``range_sets_from_bins`` turns the detected bins into range lists.
-``lasso_solve`` and ``weighted_lasso_solve`` take that vector per BS from
-samples synthesized from ``waveform.build_paths``
-(``waveform.simulate_freq_rx``) instead, and ``build_range_sets`` detects
-on their estimates; they are the reference chain the acceptance tests and
-the benchmark's traced rebuild run.
+Experiments never form ``y``: ``waveform.tap_domain_rx`` gives ``v = h +
+A'z / c`` of both symbols and both BSs straight from
+``waveform.channel_taps``' arrays and the noise draws, and one comparison on
+that ``(2, 2, L)`` array detects every bin.  ``lasso_solve`` and
+``weighted_lasso_solve`` take ``v`` per BS from samples synthesized from
+``waveform.build_paths`` (``waveform.simulate_freq_rx``) instead, and
+``build_range_sets`` detects on their estimates; they are the reference
+chain the acceptance tests and the benchmark's traced rebuild run.
 """
 
 import math
@@ -44,41 +39,36 @@ from .waveform import BsSnapshot, LinkType, OfdmConfig, echo_gain, matched_filte
 
 @dataclass(frozen=True)
 class RangingConfig:
-    """Sparse-recovery weights and detection thresholds.
+    """Phase I's l1 penalty and detection threshold.
 
-    ``rho`` penalizes every tap in the first-symbol solve.  The second-symbol
-    solve uses ``rho1`` on delay bins already known to carry an echo and the
-    heavier ``rho2`` elsewhere.  ``delta1`` and ``delta2`` are the magnitude
-    thresholds that turn the two estimates into supports.
+    ``rho`` penalizes every tap of both symbols' solves, and ``delta1`` is
+    the magnitude threshold that turns either estimate into a support.
     """
 
     rho: float
-    rho1: float
-    rho2: float
     delta1: float
-    delta2: float
 
     def __post_init__(self):
         check_fields(self)
-        if self.rho < 0 or self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError("penalties must be nonnegative")
-        if self.rho1 > self.rho2:
-            raise ValueError("rho1 must not exceed rho2")
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ValueError("detection thresholds must be positive")
+        if self.rho < 0:
+            raise ValueError("rho must be nonnegative")
+        if self.delta1 <= 0:
+            raise ValueError("delta1 must be positive")
 
     @classmethod
     def calibrated(
         cls, cfg: OfdmConfig, scene: Scene, coverage_radius: float
     ) -> "RangingConfig":
-        """Thresholds from the link budget of the worst covered geometry.
+        """Penalty and threshold from the link budget of the worst covered geometry.
 
-        Tap noise standard deviation follows from the per-subcarrier noise
-        and the comb's matched-filter gain.  Detection sits at six sigma,
-        clamped to half of the weakest echo amplitude any target inside the
-        coverage radius can produce, so calibration never places the
-        threshold above a modeled echo.  Penalties use the universal rule
-        sigma * sqrt(2 log L) in the tap domain.
+        Tap noise sigma follows from the per-subcarrier noise and the comb's
+        matched-filter gain ``c = p * N/2``.  ``rho`` follows the universal
+        rule ``rho / c = sigma * sqrt(2 ln L)``; ``delta1`` sits at six
+        sigma, clamped to half of the weakest echo amplitude any target
+        inside the coverage radius can produce.  A bin is detected when
+        ``|v| >= delta1 + rho / c``, so the cap bounds ``delta1`` only: at
+        24 dBm on one surface (L = 512) the threshold is 5.65 sigma, against
+        an allowed weakest echo of 4.2 sigma.
         """
         if coverage_radius <= 0:
             raise ValueError("coverage_radius must be positive")
@@ -101,7 +91,7 @@ class RangingConfig:
 
         # objective-domain weight giving a sigma*sqrt(2 log L) tap shrinkage
         rho = sigma_tap * math.sqrt(2.0 * math.log(cfg.n_taps)) * (p * n_sc)
-        return cls(rho=rho, rho1=rho / 10.0, rho2=rho, delta1=delta, delta2=delta)
+        return cls(rho=rho, delta1=delta)
 
 
 @dataclass(eq=False)
@@ -127,26 +117,8 @@ def soft_threshold(z, t):
     return out
 
 
-def penalties(rcfg: RangingConfig, n_taps: int, known=None) -> np.ndarray:
-    """Per-tap l1 weights of one solve.
-
-    ``known=None`` is the first symbol: ``rho`` on every tap.  Otherwise
-    ``rho1`` on the ``known`` bins and ``rho2`` elsewhere; bins beyond the
-    window are ignored, they cannot appear in the estimate anyway.
-    """
-    if known is None:
-        return np.full(n_taps, rcfg.rho)
-    beta = np.full(n_taps, rcfg.rho2)
-    for l in known:
-        if 0 <= l < n_taps:
-            beta[l] = rcfg.rho1
-    return beta
-
-
-def shrink(
-    v: np.ndarray, beta: np.ndarray | float, cfg: OfdmConfig, p: float | None = None
-) -> ChannelEstimate:
-    """Weighted-lasso estimate from its matched-filter vector ``v = A'y / c``.
+def shrink(v: np.ndarray, beta: float, cfg: OfdmConfig, p: float | None = None) -> ChannelEstimate:
+    """Lasso estimate from its matched-filter vector ``v = A'y / c``.
 
     With ``A'A = c * I``, ``c = p * N/2``, the minimizer is ``v`` soft
     thresholded at ``beta / c``.  ``p`` defaults to the config's
@@ -174,9 +146,8 @@ def _matched_filter(snap: BsSnapshot, cfg: OfdmConfig) -> np.ndarray:
 
 
 def lasso_solve(snap: BsSnapshot, cfg: OfdmConfig, rcfg: RangingConfig) -> ChannelEstimate:
-    """First-symbol tap recovery with a uniform l1 penalty."""
-    beta = penalties(rcfg, cfg.n_taps)
-    return shrink(_matched_filter(snap, cfg), beta, cfg, snap.tx_power_w)
+    """Tap recovery of either symbol at the uniform l1 penalty ``rho``."""
+    return shrink(_matched_filter(snap, cfg), rcfg.rho, cfg, snap.tx_power_w)
 
 
 def weighted_lasso_solve(
@@ -186,14 +157,15 @@ def weighted_lasso_solve(
     cfg: OfdmConfig,
     rcfg: RangingConfig,
 ) -> ChannelEstimate:
-    """Second-symbol recovery; known-echo bins get the lighter penalty.
+    """Second-symbol recovery: ``lasso_solve`` of ``snap``.
 
     ``irs_bins`` are delay bins of the static anchor reflections (from
     geometry), ``target_bins`` the support detected in the first symbol.
-    With both sets empty this reduces to ``lasso_solve`` at penalty ``rho2``.
+    No weight on them can change a ``RangeSets``: soft thresholding acts per
+    bin, and ``range_sets_from_bins`` drops exactly these bins from the
+    second support, so the solve does not read them.
     """
-    beta = penalties(rcfg, cfg.n_taps, set(irs_bins) | set(target_bins))
-    return shrink(_matched_filter(snap, cfg), beta, cfg, snap.tx_power_w)
+    return lasso_solve(snap, cfg, rcfg)
 
 
 def detect_support(est: ChannelEstimate, delta: float) -> set[int]:
@@ -293,7 +265,7 @@ def build_range_sets(
     cfg: OfdmConfig,
     rcfg: RangingConfig,
 ) -> RangeSets:
-    """Threshold the two per-BS estimates into range lists.
+    """Threshold the two per-BS estimates at ``delta1`` into range lists.
 
     Direct-echo bins come from the first symbol.  The second symbol's
     support, minus those bins and minus the known anchor-reflection bins, is
@@ -303,7 +275,7 @@ def build_range_sets(
     """
     return range_sets_from_bins(
         [detect_support(est, rcfg.delta1) for est in first_symbol],
-        [detect_support(est, rcfg.delta2) for est in second_symbol],
+        [detect_support(est, rcfg.delta1) for est in second_symbol],
         irs_echo_bins(scene, cfg),
         cfg,
     )

@@ -276,7 +276,7 @@ class TestConfig:
     def test_every_field_is_checked(self, cls):
         # a kind check_fields knows, a nested settings block or a layout
         layouts = {"bs": tuple[Point2D, Point2D], "irs": tuple[Point2D, ...]}
-        base = cls(1.0, 0.1, 1.0, 1e-9, 1e-9) if cls is RangingConfig else cls()
+        base = cls(1.0, 1e-9) if cls is RangingConfig else cls()
         for f in fields(cls):
             assert f.type in FIELD_KINDS or is_dataclass(f.type) or layouts.get(f.name) == f.type
             with pytest.raises(ValueError, match=f"^{f.name} must"):
@@ -674,6 +674,15 @@ class TestScoring:
     def test_association_accuracy(self):
         outs = [self._outcome([0.1], True), self._outcome([0.1], False)]
         assert association_accuracy(outs) == pytest.approx(0.5)
+
+    def test_empty_outcome_lists_raise(self):
+        for summary in (
+            lambda outs: error_probability(outs, 0.8),
+            association_accuracy,
+            lambda outs: summarize_localization(outs, 0.8, "alg"),
+        ):
+            with pytest.raises(ValueError, match="^no outcomes$"):
+                summary([])
 
 
 def numpy_mean_and_se(values):

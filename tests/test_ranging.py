@@ -17,7 +17,6 @@ from irsloc.ranging import (
     detect_support,
     irs_echo_bins,
     lasso_solve,
-    penalties,
     shrink,
     soft_threshold,
     weighted_lasso_solve,
@@ -66,12 +65,11 @@ class TestSoftThreshold:
 
 class TestRangingConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RangingConfig(rho=-1, rho1=0, rho2=0, delta1=1, delta2=1)
-        with pytest.raises(ValueError):
-            RangingConfig(rho=1, rho1=2, rho2=1, delta1=1, delta2=1)
-        with pytest.raises(ValueError):
-            RangingConfig(rho=1, rho1=0.1, rho2=1, delta1=0, delta2=1)
+        assert RangingConfig(rho=0, delta1=1) == RangingConfig(rho=0.0, delta1=1.0)
+        with pytest.raises(ValueError, match="^rho must"):
+            RangingConfig(rho=-1, delta1=1)
+        with pytest.raises(ValueError, match="^delta1 must"):
+            RangingConfig(rho=1, delta1=0)
 
     def test_calibrated_threshold_below_weakest_echo(self):
         cfg = OfdmConfig()
@@ -86,7 +84,6 @@ class TestRangingConfig:
                 math.sqrt(cfg.irs_reflect_gain) / ((d_bi + 50.0) * 50.0 * d_bi),
             )
         assert rcfg.delta1 <= 0.5 * weakest + 1e-18
-        assert rcfg.rho1 < rcfg.rho2
 
     @pytest.mark.parametrize("noise_psd", [-174.0, -150.0], ids=["six_sigma", "clamped"])
     def test_calibrated_threshold_at_non_default_gains(self, noise_psd):
@@ -106,7 +103,6 @@ class TestRangingConfig:
                 )
         rcfg = RangingConfig.calibrated(cfg, scene, coverage_radius=radius)
         assert rcfg.delta1 == pytest.approx(min(6.0 * sigma_tap, 0.5 * weakest), rel=1e-12)
-        assert rcfg.delta2 == rcfg.delta1
 
     def test_calibrated_noiseless_uses_amplitude_floor(self):
         cfg = OfdmConfig(noise_psd_dbm_hz=None)
@@ -244,23 +240,21 @@ class TestClosedForm:
         n_active=st.integers(0, 4),
         noise=st.floats(0.0, 0.5),
         rho_frac=st.floats(0.0, 0.8),
-        rho1_frac=st.floats(0.0, 1.0),
         weighted=st.booleans(),
         delta_frac=st.floats(0.05, 0.95),
     )
     # a near-zero optimum: the oracle's stop rule needs its absolute floor
     @example(
         log2n=3, first=1, taps_frac=1.0, seed=0, n_active=1, noise=1e-6,
-        rho_frac=0.5, rho1_frac=0.0, weighted=True, delta_frac=0.5,
+        rho_frac=0.5, weighted=True, delta_frac=0.5,
     )
     # a subnormal optimum: the relative bound must not underflow to zero
     @example(
         log2n=3, first=1, taps_frac=1.0, seed=3, n_active=0, noise=5e-324,
-        rho_frac=0.0, rho1_frac=0.0, weighted=False, delta_frac=0.5,
+        rho_frac=0.0, weighted=False, delta_frac=0.5,
     )
     def test_matches_ista_oracle(
-        self, log2n, first, taps_frac, seed, n_active, noise, rho_frac, rho1_frac,
-        weighted, delta_frac,
+        self, log2n, first, taps_frac, seed, n_active, noise, rho_frac, weighted, delta_frac,
     ):
         n = 2**log2n
         n_taps = max(1, round(taps_frac * (n // 2)))
@@ -270,22 +264,15 @@ class TestClosedForm:
             @ (snap.pilots.conj() * snap.rx)
         )
         rho = rho_frac * math.sqrt(snap.tx_power_w) * float(np.max(matched))
-        rcfg = RangingConfig(
-            rho=rho, rho1=rho1_frac * rho, rho2=rho, delta1=1.0, delta2=1.0
-        )
+        rcfg = RangingConfig(rho=rho, delta1=1.0)
         if weighted:
             rng = np.random.default_rng(seed + 1)
             irs_bins = set(rng.integers(0, n_taps + 4, size=2).tolist())
             target_bins = set(rng.integers(0, n_taps + 4, size=3).tolist())
             est = weighted_lasso_solve(snap, irs_bins, target_bins, cfg, rcfg)
-            beta = np.full(n_taps, rcfg.rho2)
-            for l in irs_bins | target_bins:
-                if l < n_taps:
-                    beta[l] = rcfg.rho1
         else:
             est = lasso_solve(snap, cfg, rcfg)
-            beta = np.full(n_taps, rcfg.rho)
-        ref, scale = _oracle(snap, cfg, beta)
+        ref, scale = _oracle(snap, cfg, np.full(n_taps, rcfg.rho))
         # below the smallest normal double the taps carry fewer than 53 bits,
         # so relative bounds are taken at that floor instead of underflowing
         tiny = np.finfo(float).tiny
@@ -301,7 +288,7 @@ class TestClosedForm:
     def test_rejects_non_unit_modulus_pilots(self):
         snap, cfg = _snapshot(32, 1, 8, seed=2, n_active=2, noise=0.0)
         snap.pilots = 1.5 * snap.pilots
-        rcfg = RangingConfig(rho=0.1, rho1=0.01, rho2=0.1, delta1=1.0, delta2=1.0)
+        rcfg = RangingConfig(rho=0.1, delta1=1.0)
         with pytest.raises(ValueError, match="unit-modulus"):
             lasso_solve(snap, cfg, rcfg)
         with pytest.raises(ValueError, match="unit-modulus"):
@@ -319,7 +306,7 @@ class TestClosedForm:
     def test_rejects_non_comb_subcarriers(self, subcarriers):
         snap, cfg = _snapshot(32, 1, 8, seed=2, n_active=2, noise=0.0)
         snap.subcarriers = subcarriers
-        rcfg = RangingConfig(rho=0.1, rho1=0.01, rho2=0.1, delta1=1.0, delta2=1.0)
+        rcfg = RangingConfig(rho=0.1, delta1=1.0)
         with pytest.raises(ValueError, match="interleaved comb"):
             lasso_solve(snap, cfg, rcfg)
 
@@ -372,19 +359,53 @@ class TestTapDomain:
                     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
                     if symbol == 1:
                         est_ref = lasso_solve(snap.by_bs[m], cfg, rcfg)
-                        est = shrink(got, penalties(rcfg, cfg.n_taps), cfg)
-                        delta = rcfg.delta1
-                        first_support[m] = detect_support(est_ref, delta)
+                        first_support[m] = detect_support(est_ref, rcfg.delta1)
                     else:
                         est_ref = weighted_lasso_solve(
                             snap.by_bs[m], known[m], first_support[m], cfg, rcfg
                         )
-                        est = shrink(
-                            got, penalties(rcfg, cfg.n_taps, known[m] | first_support[m]), cfg
-                        )
-                        delta = rcfg.delta2
-                    assert detect_support(est, delta) == detect_support(est_ref, delta)
-                    assert detect_support(est, delta), "every case has echoes to detect"
+                    est = shrink(got, rcfg.rho, cfg)
+                    support = detect_support(est, rcfg.delta1)
+                    assert support == detect_support(est_ref, rcfg.delta1)
+                    assert support, "every case has echoes to detect"
+
+    @pytest.mark.parametrize("noise_psd", [-174.0, -110.0, None], ids=["stock", "loud", "off"])
+    @pytest.mark.parametrize("case", TAP_DOMAIN_CASES)
+    def test_known_bins_cannot_change_the_range_sets(self, case, noise_psd):
+        # a lighter penalty on each BS's anchor and first-symbol bins, as the
+        # second solve once used, moves only bins build_range_sets drops
+        base, scenes, radius = TAP_DOMAIN_CASES[case]
+        cfg = replace(base, noise_psd_dbm_hz=noise_psd)
+        plan = make_plan(cfg.n_subcarriers)
+        rng = np.random.default_rng(5)
+        for i, scene in enumerate(scenes):
+            rcfg = RangingConfig.calibrated(cfg, scene, radius)
+            pilots = make_pilots(plan, 40 + i)
+            known = irs_echo_bins(scene, cfg)
+            noise_seeds = np.random.SeedSequence(i).spawn(2)
+            first, second = (
+                simulate_freq_rx(build_paths(scene, cfg, symbol, 7 + i), pilots, cfg, plan, seed)
+                for symbol, seed in zip((1, 2), noise_seeds)
+            )
+            est1 = tuple(lasso_solve(first.by_bs[m], cfg, rcfg) for m in (0, 1))
+            uniform, weighted = [], []
+            for m in (0, 1):
+                snap = second.by_bs[m]
+                favored = known[m] | detect_support(est1[m], rcfg.delta1)
+                beta = np.full(cfg.n_taps, rcfg.rho)
+                beta[[l for l in favored if l < cfg.n_taps]] = rcfg.rho / 10.0
+                c = snap.tx_power_w * (cfg.n_subcarriers // 2)
+                h = soft_threshold(_matched_filter(snap, cfg), beta / c)
+                weighted.append(ChannelEstimate(h=h, n_iters=1))
+                uniform.append(lasso_solve(snap, cfg, rcfg))
+                # negative and out-of-window bins included
+                irs_bins = set(rng.integers(-4, cfg.n_taps + 4, size=3).tolist())
+                target_bins = set(rng.integers(-4, cfg.n_taps + 4, size=4).tolist())
+                got = weighted_lasso_solve(snap, irs_bins, target_bins, cfg, rcfg).h
+                assert np.array_equal(got, uniform[m].h)
+            want = build_range_sets(est1, tuple(uniform), scene, cfg, rcfg)
+            assert build_range_sets(est1, tuple(weighted), scene, cfg, rcfg) == want
+            assert sum(want.counts()) > 0
 
     def test_pilots_for_another_n_raise(self):
         cfg, scenes, _ = TAP_DOMAIN_CASES["n64"]
