@@ -321,16 +321,39 @@ def _phase1_range_sets(scene: Scene, cfg: ExperimentConfig, seed_seq) -> RangeSe
     thresholding at ``delta1`` detect.
     """
     ofdm = cfg.ofdm
-    rcfg = cfg.ranging_config(scene)
+    threshold, known = _phase1_constants(scene, cfg)
     pilot_seed, phase_seed_seq, noise1, noise2 = _seed_children(seed_seq, 4)
     phase_seed = int(phase_seed_seq.generate_state(1)[0])
     taps = channel_taps(scene, ofdm, phase_seed)
     turns = pilot_turns(ofdm.n_subcarriers, pilot_seed)
     v = tap_domain_rx(taps, turns, ofdm, (noise1, noise2))
-    c = ofdm.subcarrier_power_w * (ofdm.n_subcarriers // 2)
-    found = np.abs(v) >= rcfg.delta1 + rcfg.rho / c
+    found = np.abs(v) >= threshold
     direct, second = ([np.flatnonzero(row).tolist() for row in sym] for sym in found)
-    return range_sets_from_bins(direct, second, irs_echo_bins(scene, ofdm), ofdm)
+    return range_sets_from_bins(direct, second, known, ofdm)
+
+
+# Phase I's layout constants, keyed by what they read; at most 64 entries
+_PHASE1_CONSTANTS: dict = {}
+
+
+def _phase1_constants(scene: Scene, cfg: ExperimentConfig):
+    """Detection threshold ``delta1 + rho / c`` and the known anchor bins.
+
+    Both read only the OFDM settings, the coverage radius and the BS and IRS
+    layout, so they are computed once per ``(ofdm, bs, irs, radius)`` through
+    ``cfg.ranging_config`` and ``irs_echo_bins``.
+    """
+    ofdm = cfg.ofdm
+    key = (ofdm, scene.bs, scene.irs, cfg.target_radius_m)
+    hit = _PHASE1_CONSTANTS.get(key)
+    if hit is None:
+        rcfg = cfg.ranging_config(scene)
+        c = ofdm.subcarrier_power_w * (ofdm.n_subcarriers // 2)
+        hit = rcfg.delta1 + rcfg.rho / c, irs_echo_bins(scene, ofdm)
+        if len(_PHASE1_CONSTANTS) >= 64:
+            del _PHASE1_CONSTANTS[next(iter(_PHASE1_CONSTANTS))]
+        _PHASE1_CONSTANTS[key] = hit
+    return hit
 
 
 def run_trial(
@@ -346,14 +369,15 @@ def run_trial(
     """
     start = time.perf_counter()
     k = cfg.k
-    scene_seed, phase1_seed = _seed_children(seed_seq, 2)
+    # the geometry path reads no Phase-I child; child 0 is the same either way
+    seeds = _seed_children(seed_seq, 1 if cfg.skip_phase1 else 2)
     try:
         scene = sample_targets(
             cfg.bs,
             cfg.irs,
             k,
             cfg.target_radius_m,
-            scene_seed,
+            seeds[0],
             cell_m=cfg.ofdm.cell_m,
         )
     except SceneSamplingError:
@@ -363,7 +387,7 @@ def run_trial(
         sets = RangeSets.from_geometry(scene, cell_m=cfg.ofdm.cell_m)
     else:
         try:
-            sets = _phase1_range_sets(scene, cfg, phase1_seed)
+            sets = _phase1_range_sets(scene, cfg, seeds[1])
         except DelayWindowError:
             return _failed_outcome(trial, k, scene, start, "delay_window")
         if not sets.balanced(k):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, _layout_constants, check_fields, delay_cell, distance, echo_lengths
+from .scene import Scene, _layout_constants, check_fields, delay_cell
 from .waveform import BsSnapshot, LinkType, OfdmConfig, echo_gain, matched_filter
 
 
@@ -239,17 +239,25 @@ class RangeSets:
         would produce under perfect detection.  Duplicate quantized values
         are kept as separate entries so each list still has K entries.
         """
-        served = [
-            (t, g, distance(scene.irs[g], t)) for t, g in zip(scene.targets, scene.true_irs)
-        ]
+        # echo_lengths and quantize_range inlined, in their float order
+        hypot, floor, irs = math.hypot, math.floor, scene.irs
+        served = []
+        for (x, y), g in zip(scene.targets, scene.true_irs):
+            qx, qy = irs[g]
+            served.append((x, y, g, hypot(qx - x, qy - y)))
         direct = []
         via = []
-        for bs_pos, d_bi in zip(scene.bs, _layout_constants(scene.bs, scene.irs)[1]):
-            echoes = [
-                echo_lengths(bs_pos, scene.irs[g], t, d_it, d_bi[g]) for t, g, d_it in served
-            ]
-            direct.append(tuple(sorted(quantize_range(d, cell_m) for d, _ in echoes)))
-            via.append(tuple(sorted(quantize_range(v, cell_m) for _, v in echoes)))
+        for (bx, by), d_bi in zip(scene.bs, _layout_constants(scene.bs, irs)[1]):
+            ds, vs = [], []
+            for x, y, g, d_it in served:
+                d_bt = hypot(bx - x, by - y)
+                ds.append(2.0 * d_bt)
+                vs.append(d_bt + d_it + d_bi[g])
+            if cell_m is not None:
+                ds = [(floor(d / cell_m) + 0.5) * cell_m for d in ds]
+                vs = [(floor(v / cell_m) + 0.5) * cell_m for v in vs]
+            direct.append(tuple(sorted(ds)))
+            via.append(tuple(sorted(vs)))
         # no __post_init__: the lists were just sorted
         sets = object.__new__(cls)
         sets.__dict__.update(

@@ -12,9 +12,12 @@ compound path via the target's serving IRS (``echo_lengths``), and one static
 BS-IRS-BS reflection per IRS (distances in ``_layout_constants``).  A path of
 total length ``x`` lands in delay cell ``floor(x / cell)`` (``delay_cell``).
 The sampler, the tap synthesis, threshold calibration, the range quantizer
-and the known anchor-reflection bins all read these, which is what keeps the
-sampler's promise that no two echoes a BS hears share a cell; the synthesis
-and the calibration take the echo amplitudes from ``waveform.echo_gain``.
+and the known anchor-reflection bins all follow these, which is what keeps
+the sampler's promise that no two echoes a BS hears share a cell; the
+synthesis and the calibration take the echo amplitudes from
+``waveform.echo_gain``.  The sampler's collision check and
+``RangeSets.from_geometry`` inline the formulas in plain floats, in the
+helpers' operation order, so their results match the helpers bit for bit.
 
 The anchor layout has one rule, ``check_layout``: two BSs at distinct points
 and at least one IRS, no two IRSs at one point and none on a BS.  Every place
@@ -309,10 +312,14 @@ def sample_targets(
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same draws
     draw, pick = rng.random, rng.integers
 
-    occupied: list[set[int]] = [set(), set()]
+    taken1: set[int] = set()
+    taken2: set[int] = set()
+    row1, row2 = d_bi
     if cell_m is not None:
-        for m, row in enumerate(d_bi):
-            occupied[m].update(delay_cell(2.0 * d, cell_m) for d in row)
+        taken1.update(delay_cell(2.0 * d, cell_m) for d in row1)
+        taken2.update(delay_cell(2.0 * d, cell_m) for d in row2)
+    (b1x, b1y), (b2x, b2y) = bs
+    hypot, floor = math.hypot, math.floor
 
     targets: list[Point2D] = []
     assignment: list[int] = []
@@ -326,21 +333,22 @@ def sample_targets(
             phi = math.pi * draw()
             c, s = math.cos(phi), math.sin(phi)
             x, y = cx + r * (c * ux + s * tx), cy + r * (c * uy + s * ty)
-            dists = [math.hypot(qx - x, qy - y) for qx, qy in irs]  # as nearest_irs
-            if dists.index(min(dists)) != g:
+            dists = [hypot(qx - x, qy - y) for qx, qy in irs]  # as nearest_irs
+            d_it = min(dists)
+            if dists.index(d_it) != g:
                 continue
             if cell_m is not None:
-                cells = []
-                for bs_pos, row, taken in zip(bs, d_bi, occupied):
-                    direct, via = echo_lengths(bs_pos, irs[g], (x, y), dists[g], row[g])
-                    d, v = delay_cell(direct, cell_m), delay_cell(via, cell_m)
-                    if d == v or d in taken or v in taken:
-                        break
-                    cells.append((d, v))
-                if len(cells) < len(bs):  # a collision ended the check
+                # echo_lengths and delay_cell at each BS, in their float order
+                t = hypot(b1x - x, b1y - y)
+                d1, v1 = floor(2.0 * t / cell_m), floor((t + d_it + row1[g]) / cell_m)
+                if d1 == v1 or d1 in taken1 or v1 in taken1:
                     continue
-                for taken, pair in zip(occupied, cells):
-                    taken.update(pair)
+                t = hypot(b2x - x, b2y - y)
+                d2, v2 = floor(2.0 * t / cell_m), floor((t + d_it + row2[g]) / cell_m)
+                if d2 == v2 or d2 in taken2 or v2 in taken2:
+                    continue
+                taken1.update((d1, v1))
+                taken2.update((d2, v2))
             targets.append(Point2D(x, y))
             assignment.append(g)
             break

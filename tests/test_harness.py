@@ -410,6 +410,34 @@ class TestPhase1Oracle:
             detected += sum(got.counts())
         assert detected > 0
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda cfg: replace(cfg, target_radius_m=20.0),
+            lambda cfg: replace(cfg, ofdm=replace(cfg.ofdm, tx_power_dbm=30.0)),
+        ],
+        ids=["target_radius_m", "tx_power_dbm"],
+    )
+    def test_alternating_configs_keep_their_own_constants(self, change):
+        # the threshold and anchor bins are memoized per layout; two configs
+        # that differ in one field they read must never share an entry
+        base = default_config(1, k=4, skip_phase1=False)
+        base = replace(base, ofdm=replace(base.ofdm, tx_power_dbm=24.0))
+        other = change(base)
+        differ = 0
+        for scene_seed, phase1_seed in (s.spawn(2) for s in np.random.SeedSequence(5).spawn(4)):
+            scene = sample_targets(
+                base.bs, base.irs, base.k, base.target_radius_m, scene_seed, cell_m=base.ofdm.cell_m
+            )
+            assert base.ranging_config(scene) != other.ranging_config(scene)
+            results = []
+            for cfg in (base, other, base, other):
+                want = reference_phase1_range_sets(scene, cfg, copy.deepcopy(phase1_seed))
+                assert harness._phase1_range_sets(scene, cfg, copy.deepcopy(phase1_seed)) == want
+                results.append(want)
+            differ += results[0] != results[1]
+        assert differ > 0
+
 
 class TestFailures:
     """Each way a trial can stop before association has its own reason."""

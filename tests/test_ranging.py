@@ -17,12 +17,20 @@ from irsloc.ranging import (
     detect_support,
     irs_echo_bins,
     lasso_solve,
+    quantize_range,
     shrink,
     soft_threshold,
     weighted_lasso_solve,
 )
 from irsloc.harness import DEFAULT_BS, DEFAULT_IRS_LAYOUTS, default_config
-from irsloc.scene import Point2D, Scene, SceneSamplingError, distance, sample_targets
+from irsloc.scene import (
+    Point2D,
+    Scene,
+    SceneSamplingError,
+    distance,
+    echo_lengths,
+    sample_targets,
+)
 from irsloc.waveform import (
     BsSnapshot,
     OfdmConfig,
@@ -491,6 +499,30 @@ class TestFromGeometry:
         rebuilt = RangeSets(direct=sets.direct, via_irs=sets.via_irs)
         assert rebuilt == sets and repr(rebuilt) == repr(sets)
         assert sets.balanced(k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        k=st.integers(1, 6),
+        cell_m=st.sampled_from((None, 0.75, 0.3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(r=3, k=6, cell_m=0.3, seed=0)
+    @example(r=2, k=4, cell_m=None, seed=0)
+    def test_equals_per_target_helpers_bit_for_bit(self, r, k, cell_m, seed):
+        try:
+            scene = sample_targets(
+                DEFAULT_BS, DEFAULT_IRS_LAYOUTS[r], k, 50.0, seed=seed, cell_m=cell_m
+            )
+        except SceneSamplingError:
+            assume(False)
+        sets = RangeSets.from_geometry(scene, cell_m=cell_m)
+        for m, bs in enumerate(scene.bs):
+            echoes = [
+                echo_lengths(bs, scene.irs[g], t) for t, g in zip(scene.targets, scene.true_irs)
+            ]
+            for i, got in enumerate((sets.direct[m], sets.via_irs[m])):
+                assert got == tuple(sorted(quantize_range(e[i], cell_m) for e in echoes))
 
 
 class TestEndToEndRanging:

@@ -291,8 +291,17 @@ class TestSampling:
         irs=st.lists(st.sampled_from(LAYOUT_IRS_POOL), min_size=1, max_size=3),
         k=st.integers(1, 7),
         radius=st.sampled_from((10.0, 50.0, 150.0)),
-        cell_m=st.sampled_from((None, DEFAULT_CELL_M)),
+        cell_m=st.sampled_from((None, DEFAULT_CELL_M, 0.3)),
         seed=st.integers(0, 2**32 - 1),
+    )
+    # seed 0 on a cell other than the stock one
+    @example(
+        bs=TILTED_BS_PAIRS[1],
+        irs=[(0.0, 40.0), (-60.0, 80.0), (80.0, -60.0)],
+        k=7,
+        radius=50.0,
+        cell_m=0.3,
+        seed=0,
     )
     # the turned BS pair with surfaces on either side of its line
     @example(
